@@ -8,7 +8,7 @@ every forward. Three engine variants are timed per density:
 
 ``engine``
     The shipped training configuration — cached effective weights,
-    stride-tricks lowering, density dispatch, and
+    channels-last lowering, density dispatch, and
     :func:`repro.nn.engine.masked_weight_grads` (fully-pruned-row weight
     gradients skipped, exactly as local SGD runs).
 ``engine_growth_signal``
@@ -71,9 +71,9 @@ class LinearShape:
 
 #: The grid spans the three regimes of the im2col convolution:
 #: matmul-bound (many output channels — density dispatch dominates),
-#: lowering-bound (few output channels — the vectorized im2col/col2im
-#: rewrite dominates), and pointwise (1x1 — lowering is free, the sparse
-#: path is pure batched matmuls).
+#: lowering-bound (few output channels — the channels-last im2col/col2im
+#: lowering dominates), and pointwise (1x1 — lowering is one relayout,
+#: the sparse path is pure batched matmuls).
 CONV_SHAPES = (
     ConvShape("conv_matmul_bound", 8, 64, 16, 16, 128, 3),
     ConvShape("conv_lowering_bound", 4, 64, 16, 16, 16, 3),

@@ -1,6 +1,6 @@
 """Tests for the sparsity-aware compute engine.
 
-Covers the four engine pillars: bit-identity of the vectorized lowering
+Covers the four engine pillars: byte-identity of the channels-last lowering
 against the pre-engine reference, version-tagged effective-weight
 caching, density-aware row dispatch (exact where guaranteed, tightly
 close elsewhere), and the inference / masked-weight-grad fast paths.
@@ -39,8 +39,8 @@ def _sparse_dispatch():
 # Lowering bit-identity
 # ----------------------------------------------------------------------
 LOWERING_CASES = [
-    # (n, c, h, w, kernel, stride, pad) spanning the 1x1 shortcut, the
-    # loop construction (small C*k*k) and the vectorized one (large).
+    # (n, c, h, w, kernel, stride, pad): general windows, pointwise
+    # convs, and windows that tile the image (pooling).
     (2, 3, 8, 8, 3, 1, 1),
     (2, 3, 9, 9, 3, 2, 1),
     (1, 4, 7, 7, 2, 1, 0),
@@ -48,55 +48,128 @@ LOWERING_CASES = [
     (2, 8, 8, 8, 1, 2, 0),
     (1, 64, 10, 10, 3, 1, 1),
     (1, 64, 11, 11, 3, 2, 0),
+    # ResNet-18 at width 0.125 on 16 px images, batch 32.
+    (32, 3, 16, 16, 3, 1, 1),
+    (32, 8, 16, 16, 3, 1, 1),
+    (32, 8, 16, 16, 3, 2, 1),
+    (32, 8, 16, 16, 1, 2, 0),
+    (32, 16, 8, 8, 3, 1, 1),
+    (32, 16, 8, 8, 3, 2, 1),
+    (32, 16, 8, 8, 1, 2, 0),
+    (32, 32, 4, 4, 3, 1, 1),
+    (32, 32, 4, 4, 3, 2, 1),
+    (32, 32, 4, 4, 1, 2, 0),
+    (32, 64, 2, 2, 3, 1, 1),
+    # Pooling lowers channels folded into the batch (c = 1).
+    (64, 1, 16, 16, 2, 2, 0),
+    (256, 1, 8, 8, 2, 2, 0),
+    (6, 1, 7, 7, 2, 2, 0),
+    (4, 1, 9, 9, 3, 2, 1),
+    # (H + 2p - k) % s != 0: the last rows/columns are never covered.
+    (2, 6, 8, 8, 3, 2, 0),
+    (3, 4, 10, 10, 2, 3, 0),
+    (2, 3, 7, 9, 3, 2, 1),
+    (2, 5, 6, 6, 2, 2, 1),
+    # Batch 1.
+    (1, 16, 8, 8, 3, 1, 1),
+    (1, 1, 4, 4, 2, 2, 0),
 ]
 
 
+def _special_values(rng, shape):
+    """Normal draws with -0.0, +inf, -inf and NaN planted among them.
+
+    ``np.array_equal`` treats ``-0.0 == +0.0`` and never matches NaN, so
+    it cannot see a signed-zero or add-order change; byte comparison of
+    arrays seeded with these values can.
+    """
+    x = rng.normal(size=shape).astype(np.float32)
+    flat = x.reshape(-1)
+    picks = rng.choice(flat.size, size=min(flat.size, 4 + flat.size // 8),
+                       replace=False)
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+    flat[picks] = specials[np.arange(picks.size) % specials.size]
+    return x
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert (
+        np.ascontiguousarray(got).tobytes()
+        == np.ascontiguousarray(want).tobytes()
+    )
+
+
+def _patch_major_pair(rng, case):
+    """Seeded input image and patch matrix for one lowering case."""
+    n, c, h, w, k, s, p = case
+    rows = n * F.conv_output_size(h, k, s, p) * F.conv_output_size(w, k, s, p)
+    return _special_values(rng, (n, c, h, w)), _special_values(
+        rng, (rows, c * k * k)
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 class TestLoweringBitIdentity:
     @pytest.mark.parametrize("case", LOWERING_CASES)
     def test_im2col_matches_reference_exactly(self, rng, case):
-        n, c, h, w, k, s, p = case
-        x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        _, _, _, _, k, s, p = case
+        x, _ = _patch_major_pair(rng, case)
         got = F.im2col(x, k, k, s, p)
-        want = F.im2col_reference(x, k, k, s, p)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
+        _assert_same_bytes(got, F.im2col_reference(x, k, k, s, p))
 
     @pytest.mark.parametrize("case", LOWERING_CASES)
     def test_col2im_matches_reference_exactly(self, rng, case):
         n, c, h, w, k, s, p = case
-        out_h = F.conv_output_size(h, k, s, p)
-        out_w = F.conv_output_size(w, k, s, p)
-        col = rng.normal(size=(n * out_h * out_w, c * k * k)).astype(
-            np.float32
-        )
+        _, col = _patch_major_pair(rng, case)
         got = F.col2im(col, (n, c, h, w), k, k, s, p)
-        want = F.col2im_reference(col, (n, c, h, w), k, k, s, p)
-        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
+        _assert_same_bytes(
+            got, F.col2im_reference(col, (n, c, h, w), k, k, s, p)
+        )
 
     @pytest.mark.parametrize("case", LOWERING_CASES)
     def test_kernel_major_layouts_hold_the_same_patches(self, rng, case):
         n, c, h, w, k, s, p = case
-        x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        x, _ = _patch_major_pair(rng, case)
         out_h = F.conv_output_size(h, k, s, p)
         out_w = F.conv_output_size(w, k, s, p)
         km = F.im2col_kernel_major(x, k, k, s, p)
         pm = F.im2col(x, k, k, s, p)
         # (N, K, L) -> (N, L, K) -> (M, K) is the patch-major layout.
         relayout = km.transpose(0, 2, 1).reshape(n * out_h * out_w, -1)
-        assert np.array_equal(relayout, pm)
+        _assert_same_bytes(relayout, pm)
 
     @pytest.mark.parametrize("case", LOWERING_CASES)
     def test_col2im_kernel_major_is_the_same_adjoint(self, rng, case):
         n, c, h, w, k, s, p = case
         out_h = F.conv_output_size(h, k, s, p)
         out_w = F.conv_output_size(w, k, s, p)
-        km = rng.normal(size=(n, c * k * k, out_h * out_w)).astype(
-            np.float32
-        )
+        km = _special_values(rng, (n, c * k * k, out_h * out_w))
         pm = km.transpose(0, 2, 1).reshape(n * out_h * out_w, -1)
         got = F.col2im_kernel_major(km, (n, c, h, w), k, k, s, p)
         want = F.col2im_reference(pm, (n, c, h, w), k, k, s, p)
-        assert np.array_equal(got, want)
+        _assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("block_bytes", [1, 2 * 64 * 27 * 4])
+    def test_batch_blocks_with_a_partial_last_block(
+        self, rng, monkeypatch, block_bytes
+    ):
+        # 7 samples of 6912 column bytes: blocks of one sample, or of
+        # two with a single-sample last block.
+        case = (7, 3, 8, 8, 3, 1, 1)
+        n, c, h, w, k, s, p = case
+        monkeypatch.setattr(F, "_BLOCK_BYTES", block_bytes)
+        x, col = _patch_major_pair(rng, case)
+        _assert_same_bytes(
+            F.im2col(x, k, k, s, p), F.im2col_reference(x, k, k, s, p)
+        )
+        _assert_same_bytes(
+            F.col2im(col, x.shape, k, k, s, p),
+            F.col2im_reference(col, x.shape, k, k, s, p),
+        )
 
 
 # ----------------------------------------------------------------------
