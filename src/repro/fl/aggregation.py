@@ -1,92 +1,30 @@
 """Server-side aggregation rules.
 
-Weighted FedAvg over parameter states (paper Algorithm 2 line 18), the
+Weighted FedAvg over uploaded states (paper Algorithm 2 line 18), the
 BN-statistics aggregation of Algorithm 1 (Eq. 4), and the sparse top-K
 gradient aggregation of Algorithm 2 (Eq. 7, implicit zeros for indices
 a device did not report).
+
+FedAvg has one implementation: :class:`HierarchicalAggregator`, the
+streaming fold every round's uploads pass through — dense state dicts,
+views of the live model, and packed sparse payloads alike.
+:func:`weighted_average_states` is the allocating reference the fold is
+tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .payload import PackedPayload
+
 __all__ = [
-    "AggregationWorkspace",
     "HierarchicalAggregator",
     "normalized_weights",
     "weighted_average_states",
-    "aggregate_packed_states",
-    "staleness_weighted_average_states",
     "aggregate_bn_statistics",
     "aggregate_sparse_gradients",
 ]
-
-
-class AggregationWorkspace:
-    """Reusable accumulation buffers for :func:`weighted_average_states`.
-
-    FedAvg runs every round over states of identical shapes, yet the
-    naive implementation allocates a float64 accumulator, one float64
-    product per contribution, and a float32 result — per key, per round.
-    A workspace preallocates all three once and the aggregation then
-    runs entirely through ``out=`` ufunc calls; buffers are rebuilt only
-    when the state layout (keys or shapes) changes.
-
-    The float32 arrays handed back by an aggregation using a workspace
-    are the workspace's own output buffers: treat them as invalidated by
-    the next aggregation call (the server copies them into its state
-    before that).
-    """
-
-    def __init__(self) -> None:
-        self._layout: tuple | None = None
-        self._acc: dict[str, np.ndarray] = {}
-        self._scratch: dict[str, np.ndarray] = {}
-        self._out: dict[str, np.ndarray] = {}
-        self._out_shapes: dict[str, tuple[int, ...]] = {}
-
-    def bind(self, template: dict[str, np.ndarray]) -> None:
-        """Size the buffers for states shaped like ``template``."""
-        self.bind_layout(
-            tuple((name, value.shape) for name, value in template.items())
-        )
-
-    def bind_layout(
-        self, layout: tuple[tuple[str, tuple[int, ...]], ...]
-    ) -> None:
-        """Size the buffers for a ``((name, shape), ...)`` layout."""
-        if layout == self._layout:
-            return
-        self._acc = {
-            name: np.empty(shape, dtype=np.float64)
-            for name, shape in layout
-        }
-        self._scratch = {
-            name: np.empty(shape, dtype=np.float64)
-            for name, shape in layout
-        }
-        # Output buffers are allocated on first request: the packed
-        # aggregation only rounds *sparse* tensors through them (dense
-        # results get their own storage), so eager allocation would pin
-        # a dead float32 copy of every dense tensor.
-        self._out = {}
-        self._out_shapes = dict(layout)
-        self._layout = layout
-
-    def accumulator(self, name: str) -> np.ndarray:
-        acc = self._acc[name]
-        acc.fill(0.0)
-        return acc
-
-    def scratch(self, name: str) -> np.ndarray:
-        return self._scratch[name]
-
-    def output(self, name: str) -> np.ndarray:
-        out = self._out.get(name)
-        if out is None:
-            out = np.empty(self._out_shapes[name], dtype=np.float32)
-            self._out[name] = out
-        return out
 
 
 def normalized_weights(
@@ -108,16 +46,13 @@ def normalized_weights(
 def weighted_average_states(
     states: list[dict[str, np.ndarray]],
     sample_counts: list[int] | list[float] | np.ndarray,
-    workspace: AggregationWorkspace | None = None,
 ) -> dict[str, np.ndarray]:
-    """FedAvg: weighted mean of parameter/buffer dicts.
+    """FedAvg reference: weighted mean of parameter/buffer dicts.
 
-    With a :class:`AggregationWorkspace` the accumulation runs through
-    preallocated buffers and in-place ufuncs — bit-identical to the
-    allocating path (same float64 products, same summation order, one
-    final float32 rounding) but allocation-free in steady state. The
-    returned arrays are then the workspace's output buffers, valid until
-    its next use.
+    Float64 products accumulated in upload order with one final float32
+    rounding. The round loop folds through
+    :class:`HierarchicalAggregator` instead, which is bitwise identical
+    to this function at the default fan-in.
     """
     if not states:
         raise ValueError("no states to aggregate")
@@ -131,104 +66,22 @@ def weighted_average_states(
         if set(state) != keys:
             raise ValueError("states have mismatched keys")
     aggregated: dict[str, np.ndarray] = {}
-    if workspace is not None:
-        workspace.bind(states[0])
     for key in states[0]:
-        if workspace is None:
-            acc = np.zeros_like(states[0][key], dtype=np.float64)
-            for weight, state in zip(weights, states):
-                acc += weight * state[key]
-            aggregated[key] = acc.astype(np.float32)
-        else:
-            acc = workspace.accumulator(key)
-            scratch = workspace.scratch(key)
-            for weight, state in zip(weights, states):
-                np.multiply(state[key], weight, out=scratch)
-                np.add(acc, scratch, out=acc)
-            out = workspace.output(key)
-            out[...] = acc
-            aggregated[key] = out
+        acc = np.zeros_like(states[0][key], dtype=np.float64)
+        for weight, state in zip(weights, states):
+            acc += weight * state[key]
+        aggregated[key] = acc.astype(np.float32)
     return aggregated
 
 
-def aggregate_packed_states(
-    payloads: list,
-    sample_counts: list[int] | list[float] | np.ndarray,
-    workspace: AggregationWorkspace | None = None,
-) -> dict[str, np.ndarray]:
-    """FedAvg over :class:`~repro.fl.payload.PackedPayload` uploads.
-
-    The sparse-aware twin of :func:`weighted_average_states`: for
-    sparse-encoded tensors only the active entries are multiplied and
-    accumulated — work and traffic both scale with density — and the
-    result is scattered into a dense state once at the end (pruned
-    positions come out as exactly ``+0.0``). All payloads must share one
-    spec layout (same masks); accumulation is float64 with a single
-    final float32 rounding, matching the dense path at every active
-    position.
-    """
-    if not payloads:
-        raise ValueError("no payloads to aggregate")
-    weights = normalized_weights(sample_counts)
-    if len(weights) != len(payloads):
-        raise ValueError(
-            f"{len(payloads)} payloads but {len(weights)} sample counts"
-        )
-    first = payloads[0]
-    if any(p.delta for p in payloads):
-        raise ValueError("delta payloads must be resolved before aggregation")
-    sparse_specs = [s for s in first.specs if s.encoding == "sparse"]
-    for other in payloads[1:]:
-        if other.specs is not first.specs and other.specs != first.specs:
-            raise ValueError(
-                "payloads have mismatched specs (different masks?)"
-            )
-        # Equal specs do not imply equal masks: two masks with the same
-        # per-tensor active counts produce identical spec tuples but
-        # different index segments, and summing values at unrelated
-        # coordinates would be silently wrong. Index segments are
-        # contiguous int32 views, so this is a memcmp per tensor.
-        for spec in sparse_specs:
-            if not np.array_equal(
-                other.indices_view(spec), first.indices_view(spec)
-            ):
-                raise ValueError(
-                    f"payloads have mismatched active indices for "
-                    f"{spec.name!r} (different masks?)"
-                )
-    if workspace is not None:
-        workspace.bind_layout(
-            tuple((spec.name, (spec.num_active,)) for spec in first.specs)
-        )
-    aggregated: dict[str, np.ndarray] = {}
-    for spec in first.specs:
-        if workspace is None:
-            acc = np.zeros(spec.num_active, dtype=np.float64)
-            for weight, payload in zip(weights, payloads):
-                acc += weight * payload.values_view(spec)
-        else:
-            acc = workspace.accumulator(spec.name)
-            scratch = workspace.scratch(spec.name)
-            for weight, payload in zip(weights, payloads):
-                np.multiply(payload.values_view(spec), weight, out=scratch)
-                np.add(acc, scratch, out=acc)
-        if spec.encoding == "sparse":
-            if workspace is None:
-                active32 = acc.astype(np.float32)
-            else:
-                active32 = workspace.output(spec.name)
-                active32[...] = acc
-            dense = np.zeros(spec.size, dtype=np.float32)
-            dense[first.indices_view(spec)] = active32
-            aggregated[spec.name] = dense.reshape(spec.shape)
-        else:
-            # Dense results must outlive the (reused) workspace buffers,
-            # so round them straight into their own storage — the same
-            # single allocation the legacy path pays.
-            aggregated[spec.name] = (
-                acc.astype(np.float32).reshape(spec.shape)
-            )
-    return aggregated
+def _reuse(
+    pool: dict[str, np.ndarray], name: str, shape: tuple, dtype
+) -> np.ndarray:
+    """``pool[name]`` if it already has this shape and dtype, else new."""
+    array = pool.get(name)
+    if array is None or array.shape != shape or array.dtype != dtype:
+        array = np.empty(shape, dtype=dtype)
+    return array
 
 
 class HierarchicalAggregator:
@@ -236,10 +89,9 @@ class HierarchicalAggregator:
 
     Simulates edge aggregators in front of the server: uploads arrive
     one at a time in cohort order and are grouped into consecutive
-    shards of ``fan_in``. Each shard folds its members with exactly the
-    :func:`weighted_average_states` workspace recipe (float64 products
-    and accumulation in arrival order, one float32 rounding at the
-    shard boundary); the global result is the weighted mean of the
+    shards of ``fan_in``. Each shard folds its members with float64
+    products accumulated in arrival order and one float32 rounding at
+    the shard boundary; the global result is the weighted mean of the
     shard means, weighted by shard sample totals. Shards complete in
     order, so one shard accumulator and one global accumulator cover
     any cohort size — server memory is O(model), never O(cohort).
@@ -252,12 +104,19 @@ class HierarchicalAggregator:
     associative), and are instead bitwise identical to the explicit
     composition ``weighted_average_states(shard_means, shard_totals)``.
 
+    Uploads are dense state dicts (views are fine: they are only read
+    during :meth:`add`) or :class:`~repro.fl.payload.PackedPayload`
+    uploads, which fold their active values only — work scales with
+    density, and pruned positions come out as exactly ``+0.0``, the
+    bytes the dense fold of the decoded payloads produces. One cohort
+    holds one kind, and packed uploads must share one spec layout.
+
     The cohort's sample counts are fixed up front — the selection is
     known before any upload arrives — so normalized weights never need
-    the uploads themselves. An instance aggregates one cohort: feed
-    every upload through :meth:`add_state` (dense dicts) or
-    :meth:`add_payload` (packed sparse uploads, one spec layout), then
-    read :meth:`finish` once.
+    the uploads themselves. Feed every upload through :meth:`add`, then
+    read :meth:`finish` once; :meth:`restart` begins the next cohort on
+    the same accumulators (the server keeps one instance across rounds,
+    so steady-state rounds allocate only their results).
     """
 
     def __init__(
@@ -265,7 +124,22 @@ class HierarchicalAggregator:
         sample_counts: list[int] | list[float] | np.ndarray,
         fan_in: int | None = None,
     ) -> None:
-        counts = np.asarray(sample_counts, dtype=np.float64)
+        if fan_in is not None and fan_in < 1:
+            raise ValueError(f"fan_in must be >= 1, got {fan_in}")
+        self.fan_in = fan_in
+        self._shard_acc: dict[str, np.ndarray] = {}
+        self._scratch: dict[str, np.ndarray] = {}
+        self._shard_mean: dict[str, np.ndarray] = {}
+        self._global_acc: dict[str, np.ndarray] = {}
+        self.restart(sample_counts)
+
+    def restart(
+        self, sample_counts: list[int] | list[float] | np.ndarray
+    ) -> None:
+        """Begin a new cohort, keeping the accumulator buffers."""
+        # A private copy: it becomes the shard weights in place, so the
+        # weight metadata costs one cohort-sized array, not two.
+        counts = np.array(sample_counts, dtype=np.float64)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError(
                 "sample_counts must be a non-empty 1-D sequence"
@@ -273,32 +147,34 @@ class HierarchicalAggregator:
         if (counts <= 0).any():
             raise ValueError("sample counts must all be positive")
         cohort = int(counts.size)
+        fan_in = self.fan_in
         if fan_in is None or fan_in >= cohort:
             fan_in = cohort
-        if fan_in < 1:
-            raise ValueError(f"fan_in must be >= 1, got {fan_in}")
         self._cohort = cohort
         self._fan_in = fan_in
         starts = list(range(0, cohort, fan_in))
-        self._shard_weights = [
-            normalized_weights(counts[s : s + fan_in]) for s in starts
-        ]
-        shard_totals = np.empty(len(starts), dtype=np.float64)
-        for j, s in enumerate(starts):
-            total = 0.0
-            # Explicit left fold (not sum()): shard totals feed weights,
-            # and the accumulation order must stay pinned.
-            for value in counts[s : s + fan_in]:
-                total += float(value)
-            shard_totals[j] = total
-        self._global_weights = normalized_weights(shard_totals)
+        # A single shard is the flat fold: its float32-rounded mean is
+        # the result, with no global stage.
+        self._global_weights = None
+        if len(starts) > 1:
+            shard_totals = np.empty(len(starts), dtype=np.float64)
+            for j, s in enumerate(starts):
+                total = 0.0
+                # Explicit left fold (not sum()): shard totals feed
+                # weights, and the accumulation order must stay pinned.
+                for value in counts[s : s + fan_in]:
+                    total += float(value)
+                shard_totals[j] = total
+            self._global_weights = normalized_weights(shard_totals)
+        self._shard_weights = []
+        for s in starts:
+            # normalized_weights of the shard, computed in place.
+            shard = counts[s : s + fan_in]
+            np.divide(shard, shard.sum(), out=shard)
+            self._shard_weights.append(shard)
         self._position = 0
         self._mode: str | None = None
         self._keys: tuple[str, ...] | None = None
-        self._shard_acc: dict[str, np.ndarray] = {}
-        self._scratch: dict[str, np.ndarray] = {}
-        self._shard_mean: dict[str, np.ndarray] = {}
-        self._global_acc: dict[str, np.ndarray] = {}
         # Packed mode extras: the shared spec layout and the reference
         # index segments every payload must match.
         self._specs = None
@@ -306,11 +182,26 @@ class HierarchicalAggregator:
 
     def _bind(self, shapes: dict[str, tuple[int, ...]]) -> None:
         self._keys = tuple(shapes)
-        for name, shape in shapes.items():
-            self._shard_acc[name] = np.empty(shape, dtype=np.float64)
-            self._scratch[name] = np.empty(shape, dtype=np.float64)
-            self._shard_mean[name] = np.empty(shape, dtype=np.float32)
-            self._global_acc[name] = np.zeros(shape, dtype=np.float64)
+        f64, f32 = np.float64, np.float32
+        shard_acc, scratch = self._shard_acc, self._scratch
+        self._shard_acc = {
+            n: _reuse(shard_acc, n, s, f64) for n, s in shapes.items()
+        }
+        self._scratch = {
+            n: _reuse(scratch, n, s, f64) for n, s in shapes.items()
+        }
+        if self._global_weights is None:
+            self._shard_mean, self._global_acc = {}, {}
+            return
+        shard_mean, global_acc = self._shard_mean, self._global_acc
+        self._shard_mean = {
+            n: _reuse(shard_mean, n, s, f32) for n, s in shapes.items()
+        }
+        self._global_acc = {
+            n: _reuse(global_acc, n, s, f64) for n, s in shapes.items()
+        }
+        for acc in self._global_acc.values():
+            acc.fill(0.0)
 
     def _fold(self, values: dict[str, np.ndarray]) -> None:
         """Fold upload ``position`` into the current shard."""
@@ -329,7 +220,8 @@ class HierarchicalAggregator:
             np.multiply(values[name], weight, out=scratch)
             np.add(acc, scratch, out=acc)
         self._position = i + 1
-        if offset == self._shard_weights[shard].size - 1:
+        last = offset == self._shard_weights[shard].size - 1
+        if last and self._global_weights is not None:
             # Shard complete: round its mean to float32 (the bytes an
             # edge aggregator would forward) and fold it into the
             # global accumulator at the shard's weight.
@@ -345,6 +237,13 @@ class HierarchicalAggregator:
                     out=self._global_acc[name],
                 )
 
+    def add(self, upload: dict[str, np.ndarray] | PackedPayload) -> None:
+        """Fold the next upload, dense or packed."""
+        if isinstance(upload, PackedPayload):
+            self.add_payload(upload)
+        else:
+            self.add_state(upload)
+
     def add_state(self, state: dict[str, np.ndarray]) -> None:
         """Fold the next dense upload (read-only; views are fine)."""
         if self._mode is None:
@@ -358,12 +257,8 @@ class HierarchicalAggregator:
             raise ValueError("states have mismatched keys")
         self._fold(state)
 
-    def add_payload(self, payload) -> None:
+    def add_payload(self, payload: PackedPayload) -> None:
         """Fold the next packed upload (one spec layout per cohort)."""
-        if payload.delta:
-            raise ValueError(
-                "delta payloads must be resolved before aggregation"
-            )
         if self._mode is None:
             self._mode = "packed"
             self._specs = payload.specs
@@ -387,6 +282,10 @@ class HierarchicalAggregator:
                 raise ValueError(
                     "payloads have mismatched specs (different masks?)"
                 )
+            # Equal specs do not imply equal masks: two masks with the
+            # same per-tensor active counts produce identical spec
+            # tuples but different index segments, and summing values
+            # at unrelated coordinates would be silently wrong.
             for spec in self._specs:
                 if spec.encoding != "sparse":
                     continue
@@ -411,10 +310,14 @@ class HierarchicalAggregator:
                 f"cohort holds {self._cohort} uploads; "
                 f"only {self._position} arrived"
             )
+        final = (
+            self._shard_acc if self._global_weights is None
+            else self._global_acc
+        )
         aggregated: dict[str, np.ndarray] = {}
         if self._mode == "packed":
             for spec in self._specs:
-                final32 = self._global_acc[spec.name].astype(np.float32)
+                final32 = final[spec.name].astype(np.float32)
                 if spec.encoding == "sparse":
                     dense = np.zeros(spec.size, dtype=np.float32)
                     dense[self._indices[spec.name]] = final32
@@ -423,37 +326,8 @@ class HierarchicalAggregator:
                     aggregated[spec.name] = final32.reshape(spec.shape)
             return aggregated
         for name in self._keys:
-            aggregated[name] = self._global_acc[name].astype(np.float32)
+            aggregated[name] = final[name].astype(np.float32)
         return aggregated
-
-
-def staleness_weighted_average_states(
-    states: list[dict[str, np.ndarray]],
-    sample_counts: list[int] | np.ndarray,
-    staleness_rounds: list[int] | np.ndarray,
-    discount: float = 0.5,
-) -> dict[str, np.ndarray]:
-    """Buffered-async aggregation with staleness discounting.
-
-    Upload ``k`` contributes with weight ``|D_k| * discount**s_k`` where
-    ``s_k`` is how many server versions elapsed since the client pulled
-    the model it trained on (0 for a fresh synchronous upload). With
-    every staleness at 0 this reduces exactly to
-    :func:`weighted_average_states`.
-    """
-    if not 0.0 < discount <= 1.0:
-        raise ValueError(f"discount must be in (0, 1], got {discount}")
-    counts = np.asarray(sample_counts, dtype=np.float64)
-    staleness = np.asarray(staleness_rounds, dtype=np.float64)
-    if staleness.shape != counts.shape:
-        raise ValueError(
-            f"{counts.size} sample counts but {staleness.size} staleness "
-            f"entries"
-        )
-    if (staleness < 0).any():
-        raise ValueError("staleness must be non-negative")
-    effective = counts * discount**staleness
-    return weighted_average_states(states, effective)
 
 
 def aggregate_bn_statistics(

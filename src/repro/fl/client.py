@@ -34,14 +34,12 @@ _STREAM_CHUNK = 4096
 class LocalTrainResult:
     """What a device uploads after local training.
 
-    ``state`` is the flat ``{name: array}`` upload every consumer
-    (policies, aggregation, method hooks) reads. Executors that move
-    packed sparse uploads attach the decoded
-    :class:`~repro.fl.payload.PackedPayload` as ``payload`` so byte
-    accounting can be reconciled against the actually-transferred size;
-    ``state`` may be ``None`` only transiently on the worker side when
-    the caller asked :meth:`Client.train` not to materialize the dict
-    (``collect_state=False``).
+    The upload is either ``state``, a flat ``{name: array}`` dict, or
+    ``payload``, the :class:`~repro.fl.payload.PackedPayload` a
+    worker-backed executor received (:meth:`resolve_state` decodes it
+    on demand). Both are ``None`` when :meth:`Client.train` was asked
+    not to collect the state (``collect_state=False``) and after an
+    executor handed the upload to a round's ``on_upload`` callback.
     """
 
     state: dict[str, np.ndarray] | None
@@ -53,10 +51,9 @@ class LocalTrainResult:
     def resolve_state(self) -> dict[str, np.ndarray]:
         """The upload as a flat state dict, decoding the payload lazily.
 
-        Executors that ship packed uploads leave ``state`` unset so
-        fully-packed rounds (sync policy feeding
-        :func:`~repro.fl.aggregation.aggregate_packed_states`) never pay
-        the dense decode; consumers that do want dicts call this.
+        Executors that ship packed uploads leave ``state`` unset so a
+        round that folds the payloads packed never pays the dense
+        decode; consumers that do want dicts call this.
         """
         if self.state is None and self.payload is not None:
             from .payload import unpack_state

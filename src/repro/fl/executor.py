@@ -3,7 +3,10 @@
 ``FederatedContext.run_fedavg_round`` delegates the per-client local
 training to a :class:`ClientExecutor`; the round policy (see
 :mod:`repro.fl.policies`) decides *which* clients reach the executor,
-so backends stay policy-agnostic. Two backends ship built in:
+so backends stay policy-agnostic. Each upload is handed to the round's
+``on_upload`` callback, in participant order, as soon as it exists, so
+the round can fold it and release the client before the next one is
+built. Three backends ship built in:
 
 - ``serial`` (:class:`SerialExecutor`) — trains every participant one
   after another through the context's shared model instance. The
@@ -53,7 +56,7 @@ import struct
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -63,6 +66,7 @@ from .bn import set_bn_statistics
 from .client import Client, LocalTrainResult
 from .payload import ModelBinding, PackedPayload, StatePacker, \
     build_mask_indices, pack_model_state
+from .state import state_views
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fleet import ClientDirectory
@@ -70,6 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .transport import TransportConfig
 
 _LOG = logging.getLogger(__name__)
+
+#: ``on_upload(position, result)``: called once per delivered client,
+#: in participant order, as soon as its upload exists.
+UploadCallback = Callable[[int, LocalTrainResult], None]
 
 __all__ = [
     "ClientExecutor",
@@ -109,17 +117,32 @@ class ClientExecutor(ABC):
     """Strategy for running one round of local training."""
 
     name: str = "base"
+    #: Whether a task can be lost for good (a ``None`` result slot).
+    #: The round cannot fold such a backend's uploads before the cohort
+    #: is final, so it holds them until training ends.
+    loses_tasks: bool = False
 
     @abstractmethod
     def run_clients(
-        self, ctx: "FederatedContext", participants: list[Client]
-    ) -> list[LocalTrainResult]:
+        self,
+        ctx: "FederatedContext",
+        participants: Sequence[Client],
+        on_upload: UploadCallback | None = None,
+    ) -> list[LocalTrainResult | None]:
         """Train every participant on the current global model.
 
         Returns one :class:`LocalTrainResult` per participant, aligned
         with ``participants``. Implementations must leave each client's
         RNG in the same state serial execution would — methods replay
         the batch stream across rounds and backends must agree.
+
+        With ``on_upload`` each delivered result goes to
+        ``on_upload(position, result)`` in participant order as soon as
+        it exists, with the client's RNG already advanced. Its upload
+        (``state`` or ``payload``) is valid only during that call — the
+        serial backend hands over views of the shared model — so the
+        returned results then carry metadata only. Without it, results
+        own their uploads.
 
         Backends with real transport may lose a client for good (its
         task exhausted the reassignment budget); such a client's slot is
@@ -234,19 +257,31 @@ class SerialExecutor(ClientExecutor):
         del max_workers  # accepted for a uniform factory signature
 
     def run_clients(
-        self, ctx: "FederatedContext", participants: list[Client]
-    ) -> list[LocalTrainResult]:
+        self,
+        ctx: "FederatedContext",
+        participants: Sequence[Client],
+        on_upload: UploadCallback | None = None,
+    ) -> list[LocalTrainResult | None]:
         if not participants:
             return []
         kwargs = _train_kwargs(ctx)
-        results = []
+        results: list[LocalTrainResult | None] = []
         # One full install + snapshot per round; each client then "downloads"
         # the broadcast with a flat in-place restore instead of re-running
         # the allocating per-tensor installation.
         ctx.server.broadcast()
-        for client in participants:
+        for position, client in enumerate(participants):
             ctx.server.restore_broadcast()
-            results.append(client.train(ctx.model, **kwargs))
+            result = client.train(
+                ctx.model, collect_state=on_upload is None, **kwargs
+            )
+            if on_upload is not None:
+                # The upload is the trained model itself, uncopied; the
+                # next client's download overwrites it.
+                result.state = state_views(ctx.model)
+                on_upload(position, result)
+                result.state = None
+            results.append(result)
         return results
 
 
@@ -644,12 +679,16 @@ class ProcessPoolClientExecutor(ClientExecutor):
 
     # -- round ---------------------------------------------------------
     def run_clients(
-        self, ctx: "FederatedContext", participants: list[Client]
-    ) -> list[LocalTrainResult]:
+        self,
+        ctx: "FederatedContext",
+        participants: Sequence[Client],
+        on_upload: UploadCallback | None = None,
+    ) -> list[LocalTrainResult | None]:
         if not participants:
             # A round policy dropped everyone it could; don't publish
             # the broadcast or spin up the pool for an empty round.
             return []
+        clients = list(participants)
         # Keep the master model in sync with the broadcast, exactly as
         # the serial backend leaves it after a round's downloads.
         ctx.server.load_into_model()
@@ -667,13 +706,14 @@ class ProcessPoolClientExecutor(ClientExecutor):
                 client.rng.bit_generator.state,
                 kwargs,
             )
-            for client in participants
+            for client in clients
         ]
-        results = []
-        for client, future in zip(participants, futures):
+        results: list[LocalTrainResult | None] = []
+        for position, client in enumerate(clients):
             blob, num_samples, num_iterations, mean_loss, rng_state = (
-                future.result()
+                futures[position].result()
             )
+            futures[position] = None  # the blob lives on in the upload
             # The worker trained a cached copy of the client; pull its
             # advanced RNG back so future rounds draw the same batches
             # the serial backend would.
@@ -681,20 +721,22 @@ class ProcessPoolClientExecutor(ClientExecutor):
             # Trusted same-run producer; the blob backs the payload's
             # buffer zero-copy for as long as the result holds it. The
             # dense state dict is decoded lazily (resolve_state), so a
-            # fully-packed aggregation path never materializes it.
+            # packed fold never materializes it.
             upload = PackedPayload.from_bytes(
                 blob, copy=False, validate=False,
                 spec_cache=self._bcast.spec_cache,
             )
-            results.append(
-                LocalTrainResult(
-                    state=None,
-                    num_samples=num_samples,
-                    num_iterations=num_iterations,
-                    mean_loss=mean_loss,
-                    payload=upload,
-                )
+            result = LocalTrainResult(
+                state=None,
+                num_samples=num_samples,
+                num_iterations=num_iterations,
+                mean_loss=mean_loss,
+                payload=upload,
             )
+            if on_upload is not None:
+                on_upload(position, result)
+                result.payload = None
+            results.append(result)
         return results
 
     def run_selection(
@@ -939,6 +981,7 @@ class NetworkClientExecutor(ClientExecutor):
     """
 
     name = "network"
+    loses_tasks = True
 
     def __init__(
         self,
@@ -1031,12 +1074,16 @@ class NetworkClientExecutor(ClientExecutor):
 
     # -- round ---------------------------------------------------------
     def run_clients(
-        self, ctx: "FederatedContext", participants: list[Client]
-    ) -> list[LocalTrainResult]:
+        self,
+        ctx: "FederatedContext",
+        participants: Sequence[Client],
+        on_upload: UploadCallback | None = None,
+    ) -> list[LocalTrainResult | None]:
         from .network_server import TaskSpec
 
         if not participants:
             return []
+        clients = list(participants)
         # Keep the master model in sync with the broadcast, exactly as
         # the serial backend leaves it after a round's downloads.
         ctx.server.load_into_model()
@@ -1051,7 +1098,7 @@ class NetworkClientExecutor(ClientExecutor):
                 rng_state=client.rng.bit_generator.state,
                 kwargs=kwargs,
             )
-            for client in participants
+            for client in clients
         ]
         server.open_round(
             self._round_tag, ctx.server.mask_epoch, masks_blob,
@@ -1067,7 +1114,7 @@ class NetworkClientExecutor(ClientExecutor):
         # with the deterministic fault runner.
         self._records.extend(ingest.records)
         results: list[LocalTrainResult | None] = []
-        for client in participants:
+        for position, client in enumerate(clients):
             meta = metas.get(client.client_id)
             if meta is None:
                 results.append(None)
@@ -1075,15 +1122,17 @@ class NetworkClientExecutor(ClientExecutor):
             # The worker trained a remote copy; pull the advanced RNG
             # back so future rounds draw serial-identical batches.
             client.rng.bit_generator.state = meta["rng_state"]
-            results.append(
-                LocalTrainResult(
-                    state=None,
-                    num_samples=int(meta["num_samples"]),
-                    num_iterations=int(meta["num_iterations"]),
-                    mean_loss=float(meta["mean_loss"]),
-                    payload=ingest.accepted_payload(client.client_id),
-                )
+            result = LocalTrainResult(
+                state=None,
+                num_samples=int(meta["num_samples"]),
+                num_iterations=int(meta["num_iterations"]),
+                mean_loss=float(meta["mean_loss"]),
+                payload=ingest.accepted_payload(client.client_id),
             )
+            if on_upload is not None:
+                on_upload(position, result)
+                result.payload = None
+            results.append(result)
         return results
 
     def drain_records(self) -> list:

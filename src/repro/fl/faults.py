@@ -357,6 +357,36 @@ class RoundOutcome:
     records: list[FailureRecord] = field(default_factory=list)
     stats: RoundFaultStats = field(default_factory=RoundFaultStats)
 
+    @classmethod
+    def of_executor(
+        cls,
+        results: list["LocalTrainResult | None"],
+        client_ids: list[int],
+        round_index: int,
+    ) -> "RoundOutcome":
+        """The outcome of a round run without a fault schedule.
+
+        A ``None`` slot is a client a real-transport backend lost for
+        good (its task exhausted the reassignment budget). It is
+        excluded exactly like a retry-exhausted client: a
+        ``connection_lost``/``excluded`` record and one recovery (the
+        partial-cohort reweighting) each.
+        """
+        lost = [k for k, result in enumerate(results) if result is None]
+        return cls(
+            results=results,
+            excluded=frozenset(lost),
+            extra_seconds=0.0,
+            records=[
+                FailureRecord(
+                    round_index, client_ids[k], 0,
+                    "connection_lost", "excluded",
+                )
+                for k in lost
+            ],
+            stats=RoundFaultStats(recoveries=len(lost)),
+        )
+
 
 class FaultTolerantRunner:
     """Run one round's local training under a fault schedule.

@@ -19,12 +19,16 @@ Two backends:
   a client saves its RNG state so a later re-materialization resumes
   the exact random stream, keeping virtual runs bitwise identical to
   materialized ones.
+
+A round addresses its clients through a :class:`Cohort`: a sequence of
+clients that materializes each one only when an executor reaches it.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 
 from ..data.dataset import Dataset
 from ..data.partition import PartitionPlan
@@ -33,6 +37,7 @@ from .latency import DeviceProfile, FleetPlan
 
 __all__ = [
     "ClientDirectory",
+    "Cohort",
     "MaterializedDirectory",
     "VirtualClientDirectory",
     "cohort_size",
@@ -260,3 +265,32 @@ class VirtualClientDirectory(ClientDirectory):
         state["_rng_states"] = rng_states
         state["_live"] = {}
         return state
+
+
+class Cohort(Sequence):
+    """One round's clients: IDs, materialized on access.
+
+    Executors index or iterate it like a list of
+    :class:`~repro.fl.client.Client`; each access goes through the
+    directory, so a virtual fleet builds a client only when an executor
+    reaches it, and the round can release it right after its upload.
+    The first access to each client records its RNG position in
+    ``round_rng`` — the round boundary a failed round rewinds to.
+    """
+
+    def __init__(
+        self, directory: ClientDirectory, client_ids: list[int]
+    ) -> None:
+        self.directory = directory
+        self.ids = list(client_ids)
+        self.round_rng: dict[int, dict] = {}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: int) -> Client:
+        client_id = self.ids[index]
+        client = self.directory.materialize(client_id)
+        if client_id not in self.round_rng:
+            self.round_rng[client_id] = client.rng.bit_generator.state
+        return client

@@ -26,11 +26,11 @@ are canonicalized to ``+0.0`` on unpack (the arithmetic path
 ``data * mask`` can leave ``-0.0`` there; the two compare equal
 everywhere).
 
-Delta encoding (``base=``) XORs the float32 bit patterns against a
-round-base state instead of storing raw values. XOR deltas are exactly
-reversible (unlike floating-point subtraction), compose across rounds,
-and turn unchanged values into all-zero words — a standard trick from
-time-series float compression.
+The wire form is a fixed header (magic, version, a flags byte that must
+be zero, section lengths), the pickled spec table, then the buffer.
+:meth:`PackedPayload.from_bytes` rejects anything else with
+:class:`PayloadFormatError`, so the server's ingest can quarantine
+malformed uploads before they reach the aggregation.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
 _MAGIC = b"RPAY"
 _VERSION = 1
 _HEADER = struct.Struct("<4sBBxxQQ")  # magic, version, flags, header, body
-_FLAG_DELTA = 1
 
 
 def _align8(n: int) -> int:
@@ -106,14 +105,10 @@ class PackedPayload:
     """A state dict packed into one contiguous byte buffer."""
 
     def __init__(
-        self,
-        specs: tuple[TensorSpec, ...],
-        buffer: np.ndarray,
-        delta: bool = False,
+        self, specs: tuple[TensorSpec, ...], buffer: np.ndarray
     ) -> None:
         self.specs = tuple(specs)
         self.buffer = np.ascontiguousarray(buffer, dtype=np.uint8)
-        self.delta = bool(delta)
         self._header_cache: bytes | None = None
 
     @property
@@ -167,12 +162,11 @@ class PackedPayload:
         intermediate ``bytes`` materialization.
         """
         header = self._header_bytes()
-        flags = _FLAG_DELTA if self.delta else 0
         header_span = _align8(len(header))
         total = _HEADER.size + header_span + self.nbytes
         view = memoryview(target)
         _HEADER.pack_into(
-            view, offset, _MAGIC, _VERSION, flags, len(header), self.nbytes
+            view, offset, _MAGIC, _VERSION, 0, len(header), self.nbytes
         )
         cursor = offset + _HEADER.size
         view[cursor : cursor + len(header)] = header
@@ -225,6 +219,8 @@ class PackedPayload:
             raise PayloadFormatError(f"bad payload magic {magic!r}")
         if version != _VERSION:
             raise PayloadFormatError(f"unsupported payload version {version}")
+        if flags:
+            raise PayloadFormatError(f"unknown payload flags {flags:#04x}")
         body_start = _HEADER.size + _align8(header_len)
         end = body_start + body_len
         if end > len(data):
@@ -265,7 +261,7 @@ class PackedPayload:
         )
         if copy:
             buffer = buffer.copy()
-        payload = cls(specs, buffer, delta=bool(flags & _FLAG_DELTA))
+        payload = cls(specs, buffer)
         if validate:
             payload.validate()
         return payload
@@ -396,7 +392,6 @@ def _write_segment(
     spec: TensorSpec,
     flat: np.ndarray,
     idx: np.ndarray | None,
-    base_flat: np.ndarray | None,
 ) -> None:
     """Fill one tensor's segment from its flat float32 source array."""
     offset = spec.offset
@@ -413,21 +408,11 @@ def _write_segment(
         np.take(flat, idx, out=values)
     else:
         np.copyto(values, flat)
-    if base_flat is not None:
-        # XOR delta against the round base: exactly reversible, unlike
-        # floating-point subtraction, and zero where nothing changed.
-        values_u32 = values.view(np.uint32)
-        if spec.encoding == "sparse":
-            base_vals = base_flat[idx].view(np.uint32)
-        else:
-            base_vals = base_flat.view(np.uint32)
-        np.bitwise_xor(values_u32, base_vals, out=values_u32)
 
 
 def _pack(
     items: list[tuple[str, tuple[int, ...], np.ndarray]],
     masks: MaskSet,
-    base: dict[str, np.ndarray] | None,
     indices: dict[str, np.ndarray] | None,
 ) -> PackedPayload:
     entries = []
@@ -446,44 +431,29 @@ def _pack(
                 idx = np.flatnonzero(
                     np.asarray(masks[name]).reshape(-1)
                 ).astype(np.int32)
-        base_flat = None
-        if base is not None:
-            if name not in base:
-                raise KeyError(f"delta base is missing tensor {name!r}")
-            base_flat = np.ascontiguousarray(
-                base[name], dtype=np.float32
-            ).reshape(-1)
-            if base_flat.size != spec.size:
-                raise ValueError(
-                    f"delta base shape mismatch for {name!r}: "
-                    f"{base[name].shape} vs {spec.shape}"
-                )
-        _write_segment(buffer, spec, flat, idx, base_flat)
-    return PackedPayload(specs, buffer, delta=base is not None)
+        _write_segment(buffer, spec, flat, idx)
+    return PackedPayload(specs, buffer)
 
 
 def pack_state(
     state: dict[str, np.ndarray],
     masks: MaskSet,
-    base: dict[str, np.ndarray] | None = None,
     indices: dict[str, np.ndarray] | None = None,
 ) -> PackedPayload:
     """Pack a flat state dict against the server mask structure.
 
-    ``base`` switches on XOR delta encoding against a round-base state
-    with the same keys and shapes. ``indices`` supplies precomputed
-    active-index arrays (see :func:`build_mask_indices`).
+    ``indices`` supplies precomputed active-index arrays (see
+    :func:`build_mask_indices`).
     """
     items = [
         (name, tuple(value.shape), value) for name, value in state.items()
     ]
-    return _pack(items, masks, base, indices)
+    return _pack(items, masks, indices)
 
 
 def pack_model_state(
     model: Module,
     masks: MaskSet,
-    base: dict[str, np.ndarray] | None = None,
     indices: dict[str, np.ndarray] | None = None,
 ) -> PackedPayload:
     """Pack a model's parameters and buffers without a dict round-trip.
@@ -500,63 +470,34 @@ def pack_model_state(
         (BUFFER_PREFIX + name, tuple(buf.shape), buf)
         for name, buf in model.named_buffers()
     ]
-    return _pack(items, masks, base, indices)
+    return _pack(items, masks, indices)
 
 
 # ----------------------------------------------------------------------
 # Unpacking
 # ----------------------------------------------------------------------
 def _decode_values(
-    payload: PackedPayload,
-    spec: TensorSpec,
-    base_flat: np.ndarray | None,
+    payload: PackedPayload, spec: TensorSpec
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(float32 values, indices-or-None) for one tensor, delta-resolved."""
+    """(float32 values, indices-or-None) views for one tensor."""
     values = payload.values_view(spec)
     idx = payload.indices_view(spec) if spec.encoding == "sparse" else None
-    if payload.delta:
-        if base_flat is None:
-            raise ValueError(
-                f"payload is delta-encoded; a base state with tensor "
-                f"{spec.name!r} is required"
-            )
-        if base_flat.size != spec.size:
-            raise ValueError(
-                f"delta base shape mismatch for {spec.name!r}"
-            )
-        base_u32 = base_flat.view(np.uint32)
-        if idx is not None:
-            base_u32 = base_u32[idx]
-        values = (values.view(np.uint32) ^ base_u32).view(np.float32)
     return values, idx
 
 
 def unpack_state(
-    payload: PackedPayload,
-    base: dict[str, np.ndarray] | None = None,
-    validate: bool = True,
+    payload: PackedPayload, validate: bool = True
 ) -> dict[str, np.ndarray]:
     """Reconstruct the flat state dict a payload was packed from.
 
     Bit-exact at active positions; pruned positions come back as
-    ``+0.0``. Delta payloads require the same ``base`` they were packed
-    against.
+    ``+0.0``.
     """
     if validate:
         payload.validate()
     state: dict[str, np.ndarray] = {}
     for spec in payload.specs:
-        base_flat = None
-        if payload.delta:
-            if base is None or spec.name not in base:
-                raise ValueError(
-                    f"payload is delta-encoded; base state must contain "
-                    f"{spec.name!r}"
-                )
-            base_flat = np.ascontiguousarray(
-                base[spec.name], dtype=np.float32
-            ).reshape(-1)
-        values, idx = _decode_values(payload, spec, base_flat)
+        values, idx = _decode_values(payload, spec)
         if idx is None:
             state[spec.name] = values.reshape(spec.shape).copy()
         else:
@@ -656,7 +597,7 @@ class ModelBinding:
             )
         prepared = []
         for spec, owner, attr in self._entries:
-            values, idx = _decode_values(payload, spec, None)
+            values, idx = _decode_values(payload, spec)
             prepared.append((values, idx, owner, attr))
         self._prepared = prepared
         self._prepared_payload = payload
@@ -665,7 +606,7 @@ class ModelBinding:
     def restore(
         self, payload: PackedPayload, assume_masked: bool = False
     ) -> None:
-        """Install a (non-delta) payload into the bound model, in place.
+        """Install a payload into the bound model, in place.
 
         ``assume_masked`` skips the dense zero-fill before scattering a
         sparse tensor — valid whenever the model's pruned positions are
@@ -673,11 +614,6 @@ class ModelBinding:
         preserved by masked local SGD), which turns the per-client
         restore from O(model) writes into O(active).
         """
-        if payload.delta:
-            raise ValueError(
-                "delta payloads cannot be installed directly; resolve "
-                "them with unpack_state(base=...) first"
-            )
         for values, idx, owner, attr in self._prepare(payload):
             flat = self._target(owner, attr).reshape(-1)
             if idx is None:
@@ -796,7 +732,7 @@ def unpack_into_model(
     validate: bool = True,
     assume_masked: bool = False,
 ) -> None:
-    """Install a (non-delta) payload straight into a model, in place.
+    """Install a payload straight into a model, in place.
 
     Writes through each ``Parameter``'s existing storage (bumping its
     cache version) and each registered buffer, allocating nothing.

@@ -25,6 +25,12 @@ built in:
   of uploads has arrived; late uploads are buffered and folded into
   the *next* aggregation with a ``staleness_discount`` weight.
 
+Policies never aggregate themselves: the round folds the on-time
+uploads through the server's one FedAvg fold at the weights
+:meth:`RoundPolicy.fold_weights` returns, then any uploads the policy
+hands back from :meth:`RoundPolicy.end_fold` (the async policy's stale
+buffer).
+
 New policies register via :func:`register_policy` without touching the
 simulation internals, mirroring the executor registry.
 """
@@ -33,14 +39,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .aggregation import staleness_weighted_average_states
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .client import Client
     from .simulation import FederatedContext, FLConfig
 
 __all__ = [
@@ -157,42 +160,48 @@ class RoundPolicy(ABC):
     def __init__(self, config: "FLConfig") -> None:
         self.config = config
 
-    def select(self, ctx: "FederatedContext") -> list["Client"]:
-        """Sample this round's participants (policies may over-select)."""
-        return ctx.sample_participants()
+    def select(self, ctx: "FederatedContext") -> list[int]:
+        """Sample this round's participant IDs (policies may
+        over-select); no client is built."""
+        return ctx.sample_participant_ids()
 
     @abstractmethod
     def plan(
         self,
         ctx: "FederatedContext",
-        participants: list["Client"],
+        participants: Sequence[int],
         times: list[float],
     ) -> RoundPlan:
         """Decide who trains/uploads and how long the round takes.
 
-        ``times`` holds the simulated seconds each participant needs for
-        the full round (download + local compute + upload) on its
-        device profile, aligned with ``participants``.
+        ``participants`` holds the selected client IDs; ``times`` the
+        simulated seconds each needs for the full round (download +
+        local compute + upload) on its device profile, aligned with it.
         """
 
-    def aggregate(
-        self,
-        ctx: "FederatedContext",
-        participants: list["Client"],
-        plan: RoundPlan,
-        states: list[dict[str, np.ndarray]],
-    ) -> int:
-        """Fold this round's uploads into the global state.
+    def fold_weights(self, counts: list[int]) -> Sequence[float]:
+        """Weights of this round's FedAvg fold, in fold order.
 
-        ``states`` is aligned with ``plan.trained``. Returns the number
-        of stale buffered uploads applied (0 for synchronous policies).
+        ``counts`` holds the sample counts of the on-time uploads in
+        participant order. The fold takes those uploads first, then the
+        uploads :meth:`end_fold` returns, so the weights cover both.
+        The default folds the on-time uploads at their sample counts.
         """
-        chosen = [states[p] for p in plan.on_time]
-        counts = [
-            participants[plan.trained[p]].num_samples for p in plan.on_time
-        ]
-        ctx.server.aggregate(chosen, counts)
-        return 0
+        return counts
+
+    def end_fold(
+        self, late: list[tuple[dict[str, np.ndarray], int]]
+    ) -> list[dict[str, np.ndarray]]:
+        """Hand over the round's late uploads; return uploads to fold.
+
+        Called once per round that trained anyone, after the on-time
+        uploads were folded. ``late`` holds ``(state, num_samples)``
+        copies of the trained uploads outside ``plan.on_time``; the
+        returned uploads are folded last, at the tail of
+        :meth:`fold_weights`. Synchronous policies have neither.
+        """
+        del late
+        return []
 
 
 class SynchronousPolicy(RoundPolicy):
@@ -203,7 +212,7 @@ class SynchronousPolicy(RoundPolicy):
     def plan(
         self,
         ctx: "FederatedContext",
-        participants: list["Client"],
+        participants: Sequence[int],
         times: list[float],
     ) -> RoundPlan:
         everyone = tuple(range(len(participants)))
@@ -227,15 +236,15 @@ class DeadlinePolicy(RoundPolicy):
 
     name = "deadline"
 
-    def select(self, ctx: "FederatedContext") -> list["Client"]:
+    def select(self, ctx: "FederatedContext") -> list[int]:
         over = self.config.deadline_over_select
         fraction = min(1.0, ctx.config.participation_fraction * over)
-        return ctx.sample_participants(fraction)
+        return ctx.sample_participant_ids(fraction)
 
     def plan(
         self,
         ctx: "FederatedContext",
-        participants: list["Client"],
+        participants: Sequence[int],
         times: list[float],
     ) -> RoundPlan:
         budget = self.config.deadline_fraction * float(np.median(times))
@@ -272,7 +281,7 @@ class DropoutPolicy(RoundPolicy):
     def plan(
         self,
         ctx: "FederatedContext",
-        participants: list["Client"],
+        participants: Sequence[int],
         times: list[float],
     ) -> RoundPlan:
         draws = ctx.sim_rng.random(len(participants))
@@ -297,21 +306,21 @@ class BufferedAsyncPolicy(RoundPolicy):
     The server closes the round once ``ceil(async_buffer_fraction * n)``
     uploads have arrived. Every participant still trains (its update is
     in flight), but late uploads land in a buffer and join the *next*
-    aggregation with weight ``|D_k| * staleness_discount**staleness``,
-    the new weighting path in :mod:`repro.fl.aggregation`.
+    aggregation, one server version stale, with weight
+    ``|D_k| * staleness_discount**staleness``.
     """
 
     name = "async"
 
     def __init__(self, config: "FLConfig") -> None:
         super().__init__(config)
-        # (state, num_samples, rounds-stale-at-next-aggregation - 1)
-        self._buffer: list[tuple[dict[str, np.ndarray], int, int]] = []
+        # (state, num_samples) of last round's late uploads.
+        self._buffer: list[tuple[dict[str, np.ndarray], int]] = []
 
     def plan(
         self,
         ctx: "FederatedContext",
-        participants: list["Client"],
+        participants: Sequence[int],
         times: list[float],
     ) -> RoundPlan:
         n = len(participants)
@@ -325,34 +334,20 @@ class BufferedAsyncPolicy(RoundPolicy):
             elapsed_seconds=float(times[order[k - 1]]),
         )
 
-    def aggregate(
-        self,
-        ctx: "FederatedContext",
-        participants: list["Client"],
-        plan: RoundPlan,
-        states: list[dict[str, np.ndarray]],
-    ) -> int:
-        stale = [(s, n, age + 1) for s, n, age in self._buffer]
-        self._buffer = []
-        fresh = [
-            (states[p], participants[plan.trained[p]].num_samples, 0)
-            for p in plan.on_time
-        ]
-        entries = fresh + stale
-        merged = staleness_weighted_average_states(
-            [e[0] for e in entries],
-            [e[1] for e in entries],
-            [e[2] for e in entries],
-            discount=self.config.staleness_discount,
+    def fold_weights(self, counts: list[int]) -> Sequence[float]:
+        fresh = np.zeros(len(counts), dtype=np.float64)
+        stale = np.ones(len(self._buffer), dtype=np.float64)
+        samples = np.asarray(
+            list(counts) + [n for _, n in self._buffer], dtype=np.float64
         )
-        ctx.server.commit_state(merged)
-        on_time = set(plan.on_time)
-        for p in range(len(plan.trained)):
-            if p not in on_time:
-                self._buffer.append(
-                    (states[p], participants[plan.trained[p]].num_samples, 0)
-                )
-        return len(stale)
+        staleness = np.concatenate([fresh, stale])
+        return samples * self.config.staleness_discount**staleness
+
+    def end_fold(
+        self, late: list[tuple[dict[str, np.ndarray], int]]
+    ) -> list[dict[str, np.ndarray]]:
+        stale, self._buffer = self._buffer, list(late)
+        return [state for state, _ in stale]
 
 
 _POLICIES: dict[str, Callable[["FLConfig"], RoundPolicy]] = {}

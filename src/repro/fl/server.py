@@ -1,15 +1,24 @@
-"""Server-side state: the global model, its masks, and aggregation."""
+"""Server-side state: the global model, its masks, and aggregation.
+
+:meth:`Server.aggregate` is the only FedAvg: every upload — a state
+dict, a view of the live model, or a packed sparse payload — folds
+through one :class:`~repro.fl.aggregation.HierarchicalAggregator`
+(``aggregation_fan_in=None`` is the flat fold). A round that streams
+its uploads into the fold as clients finish opens it with
+:meth:`Server.open_fold` and commits the result itself.
+:class:`RoundIngest` is the admission control in front of it.
+"""
 
 from __future__ import annotations
 
 import logging
+from typing import Iterable
 
 import numpy as np
 
 from ..nn.module import Module
 from ..sparse.mask import MaskSet
-from .aggregation import AggregationWorkspace, HierarchicalAggregator, \
-    aggregate_packed_states, weighted_average_states
+from .aggregation import HierarchicalAggregator
 from .faults import FailureRecord
 from .payload import PackedPayload, PayloadFormatError
 from .state import FlatStateSnapshot, get_state, set_state
@@ -32,9 +41,9 @@ class RoundIngest:
     Wire bytes are optional because in-process uploads from the run's
     own executor are a trusted producer — they skip re-serialization
     and submit metadata only. Anything that crossed a byte boundary
-    (injected transport faults today, the networked executor of ROADMAP
-    item 2 tomorrow) submits its wire form and is fully validated
-    before admission.
+    (uploads damaged by injected transport faults, and every upload the
+    networked executor receives over its sockets) submits its wire form
+    and is fully validated before admission.
     """
 
     def __init__(self, server: "Server", round_index: int) -> None:
@@ -132,12 +141,13 @@ class RoundIngest:
 class Server:
     """Holds the authoritative global model state and mask structure.
 
-    Round-loop hot paths are allocation-free in steady state: FedAvg
-    accumulates through a reusable :class:`AggregationWorkspace`,
-    committed states are written back into the existing ``_state``
-    arrays in place, and :meth:`broadcast`/:meth:`restore_broadcast`
-    reset the shared model between clients with flat memcpys instead of
-    re-running the per-tensor :func:`set_state` installation.
+    Round-loop hot paths allocate little in steady state: FedAvg folds
+    through one :class:`~repro.fl.aggregation.HierarchicalAggregator`
+    whose accumulators persist across rounds, committed states are
+    written back into the existing ``_state`` arrays in place, and
+    :meth:`broadcast`/:meth:`restore_broadcast` reset the shared model
+    between clients with flat memcpys instead of re-running the
+    per-tensor :func:`set_state` installation.
     """
 
     def __init__(
@@ -158,7 +168,7 @@ class Server:
         # Monotonic counter, bumped whenever the mask structure changes.
         # Executors key their shipped-mask caches on it.
         self.mask_epoch = 0
-        self._workspace = AggregationWorkspace()
+        self._fold: HierarchicalAggregator | None = None
         self._snapshot = FlatStateSnapshot()
         self._snapshot_fresh = False
 
@@ -226,58 +236,44 @@ class Server:
     # ------------------------------------------------------------------
     # Aggregation and mask updates
     # ------------------------------------------------------------------
+    def open_fold(
+        self, sample_counts: list[int] | list[float] | np.ndarray
+    ) -> HierarchicalAggregator:
+        """The FedAvg fold for one cohort, weighted by ``sample_counts``.
+
+        Uploads go in through :meth:`HierarchicalAggregator.add` in
+        cohort order; ``commit_state(fold.finish())`` installs the
+        result. The fold's accumulators are the server's own and are
+        reused by the next round, so opening a fold abandons any fold
+        still open. ``aggregation_fan_in`` groups the uploads under
+        simulated edge aggregators (fan-in 1 or >= cohort stays bitwise
+        identical to the flat fold).
+        """
+        if self._fold is None:
+            self._fold = HierarchicalAggregator(
+                sample_counts, fan_in=self.aggregation_fan_in
+            )
+        else:
+            self._fold.restart(sample_counts)
+        return self._fold
+
     def aggregate(
         self,
-        client_states: list[dict[str, np.ndarray]],
-        sample_counts: list[int],
+        uploads: Iterable[dict[str, np.ndarray] | PackedPayload],
+        sample_counts: list[int] | list[float] | np.ndarray,
     ) -> None:
-        """FedAvg the uploaded states into the global state.
+        """FedAvg ``uploads`` (aligned with ``sample_counts``) into the
+        global state.
 
-        The aggregation reuses the server's workspace buffers;
-        ``commit_state`` copies the result into ``_state`` before the
-        workspace can be clobbered by the next round. With
-        ``aggregation_fan_in`` set, uploads reduce tree-wise through
-        edge-aggregator shards instead of one flat fold (fan-in 1 or
-        >= cohort stays bitwise identical to the flat path).
+        Uploads are state dicts or packed payloads, one kind per call.
+        Packed uploads fold their active values only, and the committed
+        state is bitwise identical to decoding every payload first.
+        Nothing is committed if any upload fails to fold.
         """
-        if self.aggregation_fan_in is not None:
-            aggregator = HierarchicalAggregator(
-                sample_counts, fan_in=self.aggregation_fan_in
-            )
-            for state in client_states:
-                aggregator.add_state(state)
-            self.commit_state(aggregator.finish())
-            return
-        self.commit_state(
-            weighted_average_states(
-                client_states, sample_counts, workspace=self._workspace
-            )
-        )
-
-    def aggregate_packed(self, payloads: list, sample_counts: list[int]) -> None:
-        """FedAvg packed uploads without decoding them to dense dicts.
-
-        The sparse-aware twin of :meth:`aggregate`: work scales with the
-        active-parameter count and the committed state is bitwise
-        identical to decoding every payload and running the dense path
-        (float64 accumulation in the same order, pruned positions
-        ``+0.0`` exactly as :func:`~repro.fl.payload.unpack_state`
-        canonicalizes them). ``aggregation_fan_in`` routes the payloads
-        through the same tree-wise reduction as :meth:`aggregate`.
-        """
-        if self.aggregation_fan_in is not None:
-            aggregator = HierarchicalAggregator(
-                sample_counts, fan_in=self.aggregation_fan_in
-            )
-            for payload in payloads:
-                aggregator.add_payload(payload)
-            self.commit_state(aggregator.finish())
-            return
-        self.commit_state(
-            aggregate_packed_states(
-                payloads, sample_counts, workspace=self._workspace
-            )
-        )
+        fold = self.open_fold(sample_counts)
+        for upload in uploads:
+            fold.add(upload)
+        self.commit_state(fold.finish())
 
     def begin_ingest(self, round_index: int) -> RoundIngest:
         """Open an admission-control session for one round's uploads."""

@@ -14,6 +14,13 @@ per-round compute+transfer time the configured
 :class:`~repro.fl.policies.RoundPolicy` charges, and every round record
 carries the cumulative ``sim_time_seconds`` — so accuracy-vs-wall-clock
 curves fall out of ordinary runs.
+
+:meth:`FederatedContext.run_fedavg_round` is the one round. It selects
+and times its cohort by client ID, and every upload folds through the
+server's one FedAvg fold as soon as the executor produces it, unless a
+fault schedule or a lossy backend can still exclude a client. On the
+virtual fleet a round therefore keeps at most one client live under the
+serial executor and holds O(model) server memory at any cohort size.
 """
 
 from __future__ import annotations
@@ -34,17 +41,17 @@ from ..metrics.flops import ModelProfile, profile_model, \
 from ..metrics.tracker import RoundRecord, RunResult
 from ..nn.module import Module
 from ..sparse.mask import MaskSet
-from .aggregation import HierarchicalAggregator
-from .client import Client
+from ..sparse.quantize import dequantize_state, quantize_state
+from .client import Client, LocalTrainResult
 from .comm import CommTracker
 from .executor import available_executors, build_executor
 from .faults import FailureRecord, FaultSchedule, FaultTolerantRunner, \
-    RetryPolicy, RoundFaultStats
-from .fleet import ClientDirectory, MaterializedDirectory, \
+    RetryPolicy, RoundFaultStats, RoundOutcome
+from .fleet import ClientDirectory, Cohort, MaterializedDirectory, \
     VirtualClientDirectory, cohort_size
 from .latency import FleetPlan, build_fleet, parse_fleet_spec
 from .payload import packed_nbytes
-from .policies import RoundInfo, SynchronousPolicy, available_policies, \
+from .policies import RoundInfo, RoundPlan, available_policies, \
     build_policy
 from .server import Server
 from .state import set_state
@@ -334,8 +341,10 @@ class FederatedContext:
         self._failures_since_record: list[FailureRecord] = []
         self._fault_stats_since_record = RoundFaultStats()
         self._round_counter = 0
-        # Lazily defaults to the whole fleet: eagerly listing it here
-        # would materialize every virtual client before the first round.
+        # IDs aggregated in the last round (None: the whole fleet), and
+        # their clients once someone asks: eagerly listing them would
+        # materialize every virtual client.
+        self._last_participant_ids: list[int] | None = None
         self._last_participants: list[Client] | None = None
         # Comm totals already folded into earlier round records, so each
         # record holds this round's delta (RunResult sums them back up).
@@ -353,14 +362,14 @@ class FederatedContext:
     @property
     def last_participants(self) -> list[Client]:
         """Clients aggregated in the last round (whole fleet before
-        any round has run)."""
+        any round has run), materialized on first access."""
         if self._last_participants is None:
-            self._last_participants = list(self.directory.all_clients())
+            ids = self._last_participant_ids
+            self._last_participants = (
+                list(self.directory.all_clients()) if ids is None
+                else [self.directory.materialize(i) for i in ids]
+            )
         return self._last_participants
-
-    @last_participants.setter
-    def last_participants(self, value: list[Client]) -> None:
-        self._last_participants = value
 
     @property
     def sample_counts(self) -> list[int]:
@@ -421,320 +430,178 @@ class FederatedContext:
         at the current mask density; transfer time from the same byte
         accounting the communication tracker charges.
         """
+        return self._round_times([c.client_id for c in participants])
+
+    def _round_times(self, client_ids: list[int]) -> list[float]:
+        """:meth:`participant_round_times` by ID, building no client."""
         flops_per_sample = training_flops_per_sample(
             self.profile, self.server.masks
         )
         upload = self.upload_bytes_per_client()
         download = self.model_exchange_bytes()
         epochs = self.config.local_epochs
+        directory = self.directory
         return [
             float(
-                client.device.time_for(
-                    flops_per_sample * epochs * client.num_samples,
+                directory.device_profile(client_id).time_for(
+                    flops_per_sample * epochs
+                    * directory.sample_count(client_id),
                     upload,
                     download,
                 )
             )
-            for client in participants
+            for client_id in client_ids
         ]
 
     def run_fedavg_round(
         self, need_states: bool = True
     ) -> list[dict[str, np.ndarray]]:
-        """One policy-driven round: select, train, aggregate, tick.
+        """One policy-driven round: select, train, fold, tick.
 
         The configured :class:`~repro.fl.policies.RoundPolicy` picks the
-        participants, decides which of them train and upload in time on
-        the simulated fleet, and folds the surviving uploads into the
-        global state; the context's simulated wall clock advances by the
-        round's elapsed seconds. Local training is delegated to the
-        configured :class:`~repro.fl.executor.ClientExecutor` backend.
-        Returns the states aggregated at full weight this round (aligned
-        with ``last_participants``; some methods inspect them before
-        they are discarded).
+        participant IDs, decides which of them train and upload in time
+        on the simulated fleet, and weights the fold; the context's
+        simulated wall clock advances by the round's elapsed seconds.
+        Local training is delegated to the configured
+        :class:`~repro.fl.executor.ClientExecutor`, and every upload
+        folds through the server's one FedAvg fold
+        (:meth:`~repro.fl.server.Server.open_fold`).
 
-        ``need_states=False`` declares that the caller will not read
-        the returned states (its round hook ignores them). When the
-        active policy is the plain synchronous barrier, uploads are
-        unquantized, and the executor shipped packed payloads, the
-        round then feeds those payloads straight into the sparse-aware
-        :meth:`~repro.fl.server.Server.aggregate_packed` — no per-client
-        dense decode — and returns an empty list. The committed global
-        state is bitwise identical either way.
+        When nothing can exclude a client once training starts (no fault
+        schedule, and a backend that cannot lose tasks), the fold's
+        weights are known up front: each upload folds as soon as the
+        executor produces it and its client is released, so on the
+        virtual fleet with the serial executor at most one client is
+        live and the round holds O(model) memory. Otherwise the uploads
+        are held until the cohort is final, then folded.
+
+        An upload is copied only when something still needs it once it
+        is folded: ``need_states`` (the method's round hook reads the
+        uploads, returned aligned with ``last_participants``) or a late
+        upload the policy buffers. ``need_states=False`` returns ``[]``.
+
+        A round that raises leaves no trace: the shared model is reset
+        to the broadcast, the cohort's and the context's RNG streams
+        are rewound to the round boundary, and comm is charged only
+        after the commit, so a replay is bit-for-bit the round that
+        failed.
         """
-        cfg = self.config
         policy = self.round_policy
+        directory = self.directory
+        boundary = (
+            self._round_counter,
+            self.rng.bit_generator.state,
+            self.sim_rng.bit_generator.state,
+        )
         self._round_counter += 1
         participants = policy.select(self)
-        times = self.participant_round_times(participants)
+        times = self._round_times(participants)
         plan = policy.plan(self, participants, times)
-        trained = [participants[i] for i in plan.trained]
-        download = self.model_exchange_bytes()
-        upload = self.upload_bytes_per_client()
+        trained = Cohort(directory, [participants[i] for i in plan.trained])
+        # Nothing can exclude a client once training starts: the fold's
+        # weights are final, so uploads stream into it.
+        streaming = (
+            self.fault_runner is None and not self.executor.loses_tasks
+        )
         fault_seconds = 0.0
-        train_started = time.perf_counter()
-        if self.fault_runner is not None and trained:
-            outcome = self.fault_runner.run_round(
-                self, trained, self._round_counter
+        try:
+            fold = (
+                _RoundFold(self, plan, trained.ids, need_states, True)
+                if streaming and trained else None
             )
-            fault_seconds = outcome.extra_seconds
-            self.failure_log.extend(outcome.records)
-            self._failures_since_record.extend(outcome.records)
+            train_started = time.perf_counter()
+            if self.fault_runner is not None and trained:
+                outcome = self.fault_runner.run_round(
+                    self, trained, self._round_counter
+                )
+                fault_seconds = outcome.extra_seconds
+            else:
+                outcome = RoundOutcome.of_executor(
+                    self.executor.run_clients(
+                        self, trained, fold.on_upload if fold else None
+                    ),
+                    trained.ids,
+                    self._round_counter,
+                )
+            self.real_time_seconds += time.perf_counter() - train_started
+            self._log_failures(outcome.records)
             self._fault_stats_since_record.merge(outcome.stats)
+            drain = getattr(self.executor, "drain_records", None)
+            if drain is not None:
+                # Transport-level adjudications (deduped replays after a
+                # reconnect, quarantined bytes) join the structured
+                # failure log; the deterministic fault counters are
+                # untouched, so chaos accounting still compares across
+                # executors.
+                self._log_failures(drain())
+            trained_ids = trained.ids
             results = outcome.results
             if outcome.excluded:
-                # Retry-exhausted clients leave the cohort; the plan
-                # re-packs around the survivors and the excluded join
-                # the dropped set (aggregation renormalizes over the
-                # sample counts that actually arrived).
+                # Excluded clients (retries exhausted, or a task the
+                # backend lost) leave the cohort: the plan re-packs
+                # around the survivors and they join the dropped set.
                 keep = [
-                    k for k in range(len(trained))
+                    k for k in range(len(trained_ids))
                     if k not in outcome.excluded
                 ]
                 plan = plan.without_trained(outcome.excluded)
-                trained = [trained[k] for k in keep]
+                trained_ids = [trained_ids[k] for k in keep]
                 results = [results[k] for k in keep]
-        else:
-            results = self.executor.run_clients(self, trained)
-            lost = frozenset(
-                i for i, r in enumerate(results) if r is None
-            )
-            if lost:
-                # A real-transport backend could not deliver these
-                # clients' tasks within the reassignment budget: they
-                # leave the cohort exactly like retry-exhausted clients
-                # under a fault schedule. Their RNG streams never
-                # advanced, so the surviving cohort is untouched.
-                lost_records = [
-                    FailureRecord(
-                        self._round_counter,
-                        trained[i].client_id,
-                        0,
-                        "connection_lost",
-                        "excluded",
-                    )
-                    for i in sorted(lost)
-                ]
-                self.failure_log.extend(lost_records)
-                self._failures_since_record.extend(lost_records)
-                self._fault_stats_since_record.recoveries += len(lost)
-                keep = [
-                    k for k in range(len(trained)) if k not in lost
-                ]
-                plan = plan.without_trained(lost)
-                trained = [trained[k] for k in keep]
-                results = [results[k] for k in keep]
-        self.real_time_seconds += time.perf_counter() - train_started
-        drain = getattr(self.executor, "drain_records", None)
-        if drain is not None:
-            # Transport-level adjudications (deduped replays after a
-            # reconnect, quarantined bytes) join the structured failure
-            # log; the deterministic fault counters are untouched, so
-            # chaos accounting still compares across executors.
-            transport_records = drain()
-            if transport_records:
-                self.failure_log.extend(transport_records)
-                self._failures_since_record.extend(transport_records)
-        packed_fast_path = (
-            not need_states
-            and cfg.quantize_upload_bits is None
-            and type(policy) is SynchronousPolicy
-            and bool(results)
-            and all(r.payload is not None for r in results)
-        )
-        states: list[dict[str, np.ndarray]] = []
-        for result in results:
-            if not packed_fast_path:
-                state = result.resolve_state()
-                if cfg.quantize_upload_bits is not None:
-                    # Lossy round trip: the server only ever sees the
-                    # dequantized upload (FL-PQSU's quantization stage).
-                    from ..sparse.quantize import (
-                        dequantize_state,
-                        quantize_state,
-                    )
-
-                    state = dequantize_state(
-                        quantize_state(state, cfg.quantize_upload_bits)
-                    )
-                states.append(state)
+            if fold is None and trained_ids:
+                fold = _RoundFold(
+                    self, plan, trained_ids, need_states, False,
+                    packed=all(r.payload is not None for r in results),
+                )
+                for position, result in enumerate(results):
+                    fold.on_upload(position, result)
+            # With nobody trained (the whole cohort was lost) nothing
+            # arrived: the global state carries over unchanged.
+            stale_applied = fold.close() if fold is not None else 0
+        except BaseException:
+            self.server.restore_broadcast()
+            for client_id in trained.round_rng:
+                directory.release(client_id)
+            directory.restore_rng(trained.round_rng)
+            self._round_counter, rng_state, sim_rng_state = boundary
+            self.rng.bit_generator.state = rng_state
+            self.sim_rng.bit_generator.state = sim_rng_state
+            raise
+        for client_id in trained.round_rng:
+            directory.release(client_id)
+        download = self.model_exchange_bytes()
+        upload = self.upload_bytes_per_client()
+        for _ in trained_ids:
             self.comm.record_download(download)
             self.comm.record_upload(upload)
         if plan.dropped_received_broadcast:
-            # Deadline stragglers pulled the model before being cut;
-            # offline (dropout) clients never saw the broadcast.
+            # Deadline stragglers (and excluded clients) pulled the model
+            # before being cut; offline (dropout) clients never saw it.
             for _ in plan.dropped:
                 self.comm.record_download(download)
-        if not trained:
-            # The whole cohort was lost (e.g. retry exhaustion on every
-            # client): nothing arrived, so the round commits nothing and
-            # the global state carries over unchanged.
-            on_time_states = []
-            self.last_participants = []
-            stale_applied = 0
-        elif packed_fast_path:
-            # Synchronous barrier: everyone trained is aggregated, so
-            # the packed uploads fold straight into the global state.
-            on_time_states = []
-            self.last_participants = list(trained)
-            self.server.aggregate_packed(
-                [r.payload for r in results],
-                [client.num_samples for client in trained],
-            )
-            stale_applied = 0
-        else:
-            on_time_states = [states[p] for p in plan.on_time]
-            self.last_participants = [trained[p] for p in plan.on_time]
-            stale_applied = policy.aggregate(self, participants, plan, states)
+        on_time = frozenset(plan.on_time)
+        self._last_participant_ids = [
+            trained_ids[p] for p in sorted(on_time)
+        ]
+        self._last_participants = None
         elapsed = plan.elapsed_seconds + fault_seconds
         self.sim_time += elapsed
         self._dropped_since_record += len(plan.dropped)
-        on_time_set = set(plan.on_time)
         self.last_round_info = RoundInfo(
-            selected_ids=tuple(c.client_id for c in participants),
-            aggregated_ids=tuple(
-                c.client_id for c in self.last_participants
-            ),
-            dropped_ids=tuple(
-                participants[i].client_id for i in plan.dropped
-            ),
+            selected_ids=tuple(participants),
+            aggregated_ids=tuple(self._last_participant_ids),
+            dropped_ids=tuple(participants[i] for i in plan.dropped),
             late_ids=tuple(
-                trained[p].client_id
-                for p in range(len(trained))
-                if p not in on_time_set
+                client_id for p, client_id in enumerate(trained_ids)
+                if p not in on_time
             ),
             stale_applied=stale_applied,
             elapsed_seconds=elapsed,
         )
-        return on_time_states
+        return fold.states if fold is not None else []
 
-    def _live_model_state(self) -> dict[str, np.ndarray]:
-        """The shared model's state as read-only views (no copies)."""
-        view = {
-            name: param.data
-            for name, param in self.model.named_parameters()
-        }
-        for name, buf in self.model.named_buffers():
-            view["buffer::" + name] = buf
-        return view
-
-    def run_streaming_sync_round(self) -> RoundInfo:
-        """One synchronous FedAvg round streamed over cohort IDs.
-
-        The fleet-scale round loop: cohort IDs are drawn without
-        building clients; each selected client is materialized, pulls
-        the broadcast, trains, has its live model state folded straight
-        into a :class:`~repro.fl.aggregation.HierarchicalAggregator`,
-        and is released before the next client is built. At most one
-        client is live at a time and the server folds uploads through
-        O(model) accumulators, so round memory is independent of cohort
-        size. With the default fan-in the committed state, comm bytes,
-        and simulated elapsed time are bitwise identical to
-        :meth:`run_fedavg_round` on the same cohort.
-
-        Limitations (by construction): synchronous barrier only,
-        unquantized uploads, and ``last_participants`` is not updated —
-        method round hooks belong to the materialized-compatible
-        :meth:`run_fedavg_round` path.
-        """
-        cfg = self.config
-        if cfg.round_policy != "sync":
-            raise ValueError(
-                "the streaming round requires round_policy='sync'"
-            )
-        if cfg.quantize_upload_bits is not None:
-            raise ValueError(
-                "the streaming round does not support quantized uploads"
-            )
-        participant_ids = self.sample_participant_ids()
-        counts = [
-            self.directory.sample_count(i) for i in participant_ids
-        ]
-        aggregator = HierarchicalAggregator(
-            counts, fan_in=cfg.aggregation_fan_in
-        )
-        download = self.model_exchange_bytes()
-        upload = self.upload_bytes_per_client()
-        flops_per_sample = training_flops_per_sample(
-            self.profile, self.server.masks
-        )
-        train_kwargs = dict(
-            epochs=cfg.local_epochs,
-            batch_size=cfg.batch_size,
-            lr=cfg.lr,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-            augment=cfg.augment,
-        )
-        elapsed = 0.0
-        # Failure bookkeeping: a round that dies mid-way must leave no
-        # trace, so snapshot the comm counters and record each cohort
-        # member's round-boundary RNG position as it materializes.
-        comm_before = (
-            self.comm.upload_bytes, self.comm.download_bytes,
-            dict(self.comm.by_phase),
-        )
-        round_rng_states: dict[int, dict] = {}
-        self.server.broadcast()
-        try:
-            for client_id, count in zip(participant_ids, counts):
-                client = self.directory.materialize(client_id)
-                round_rng_states.setdefault(
-                    client_id, client.rng.bit_generator.state
-                )
-                try:
-                    self.server.restore_broadcast()
-                    client.train(
-                        self.model, collect_state=False, **train_kwargs
-                    )
-                    # The aggregator only reads the arrays, so the live
-                    # model views go in without a get_state copy; they
-                    # are consumed before the next restore_broadcast
-                    # overwrites them.
-                    aggregator.add_state(self._live_model_state())
-                    self.comm.record_download(download)
-                    self.comm.record_upload(upload)
-                    seconds = float(
-                        client.device.time_for(
-                            flops_per_sample * cfg.local_epochs * count,
-                            upload,
-                            download,
-                        )
-                    )
-                    if seconds > elapsed:
-                        elapsed = seconds
-                finally:
-                    # Always hand the client back: a leaked live client
-                    # would pin its shard and desynchronize the virtual
-                    # directory's saved RNG positions.
-                    self.directory.release(client_id)
-        except BaseException:
-            # No commit happened, so the server's authoritative state is
-            # untouched; reset the shared model from the broadcast
-            # snapshot instead of leaving half-trained client weights,
-            # rewind every cohort RNG stream to the round boundary
-            # (including clients that finished before the failure), and
-            # void the aborted round's comm charges — a replay of the
-            # round is bit-for-bit as if the failure never happened.
-            self.server.restore_broadcast()
-            self.directory.restore_rng(round_rng_states)
-            upload_b, download_b, by_phase = comm_before
-            self.comm.upload_bytes = upload_b
-            self.comm.download_bytes = download_b
-            self.comm.by_phase = by_phase
-            raise
-        self.server.commit_state(aggregator.finish())
-        self.sim_time += elapsed
-        ids = tuple(participant_ids)
-        self.last_round_info = RoundInfo(
-            selected_ids=ids,
-            aggregated_ids=ids,
-            dropped_ids=(),
-            late_ids=(),
-            stale_applied=0,
-            elapsed_seconds=elapsed,
-        )
-        return self.last_round_info
+    def _log_failures(self, records: list[FailureRecord]) -> None:
+        self.failure_log.extend(records)
+        self._failures_since_record.extend(records)
 
     def model_exchange_bytes(self) -> int:
         """Bytes to move the current sparse model one way (float32).
@@ -1007,6 +874,7 @@ class FederatedContext:
             *meta["fault_stats_since_record"]
         )
         # Round-scoped caches are stale by definition.
+        self._last_participant_ids = None
         self._last_participants = None
         self.last_round_info = None
         # The run record so far.
@@ -1032,3 +900,88 @@ class FederatedContext:
         """Overwrite the global state (e.g. rewind for LotteryFL)."""
         set_state(self.model, state)
         self.server.commit_state(state)
+
+
+class _RoundFold:
+    """One round's uploads on their way into the server's FedAvg fold.
+
+    Built once the fold's weights are final: the on-time uploads' sample
+    counts in participant order, then whatever the policy adds (its
+    stale buffer). :meth:`on_upload` takes the upload of
+    ``trained_ids[position]``; an on-time upload folds at once, a late
+    one is kept for the policy, and a copy is made only when something
+    still needs the upload after the call — the round's returned states
+    (``need_states``) or the policy's buffer. ``borrowed`` says dense
+    uploads are views of the live model (the serial executor's
+    streaming uploads). The client is released once its upload is
+    handled.
+
+    Payloads fold packed, without a dense decode, unless the fold also
+    takes dense uploads — quantized ones, the policy's stale buffer, or
+    (``packed=False``) a held cohort that mixes payloads with dense
+    states after a process-to-serial degrade.
+    """
+
+    def __init__(
+        self,
+        ctx: FederatedContext,
+        plan: RoundPlan,
+        trained_ids: list[int],
+        need_states: bool,
+        borrowed: bool,
+        packed: bool = True,
+    ) -> None:
+        self.ctx = ctx
+        self.trained_ids = trained_ids
+        self.on_time = frozenset(plan.on_time)
+        self.need_states = need_states
+        self.borrowed = borrowed
+        self.bits = ctx.config.quantize_upload_bits
+        counts = [
+            ctx.directory.sample_count(trained_ids[p])
+            for p in sorted(plan.on_time)
+        ]
+        weights = ctx.round_policy.fold_weights(counts)
+        self.fold = ctx.server.open_fold(weights) if len(weights) else None
+        self.packed = (
+            packed and self.bits is None and len(weights) == len(counts)
+        )
+        self.states: list[dict[str, np.ndarray]] = []
+        self.late: list[tuple[dict[str, np.ndarray], int]] = []
+
+    def on_upload(self, position: int, result: LocalTrainResult) -> None:
+        on_time = position in self.on_time
+        keep = self.need_states or not on_time
+        if self.packed and result.payload is not None:
+            upload = result.payload
+            state = result.resolve_state() if keep else None
+        else:
+            view = self.borrowed and result.payload is None
+            state = result.resolve_state()
+            if self.bits is not None:
+                # Lossy round trip: the server only ever sees the
+                # dequantized upload (FL-PQSU's quantization stage).
+                state = dequantize_state(quantize_state(state, self.bits))
+            elif keep and view:
+                state = {name: value.copy() for name, value in state.items()}
+            upload = state
+        client_id = self.trained_ids[position]
+        if on_time:
+            self.fold.add(upload)
+            if self.need_states:
+                self.states.append(state)
+        else:
+            self.late.append(
+                (state, self.ctx.directory.sample_count(client_id))
+            )
+        self.ctx.directory.release(client_id)
+
+    def close(self) -> int:
+        """Fold the policy's stale uploads and commit; returns their
+        count."""
+        stale = self.ctx.round_policy.end_fold(self.late)
+        for state in stale:
+            self.fold.add(state)
+        if self.fold is not None:
+            self.ctx.server.commit_state(self.fold.finish())
+        return len(stale)

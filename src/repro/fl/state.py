@@ -26,6 +26,7 @@ __all__ = [
     "set_buffers",
     "get_state",
     "set_state",
+    "state_views",
     "zeros_like_state",
 ]
 
@@ -112,6 +113,17 @@ def get_state(model: Module) -> dict[str, np.ndarray]:
     for name, buf in get_buffers(model).items():
         state["buffer::" + name] = buf
     return state
+
+
+def state_views(model: Module) -> dict[str, np.ndarray]:
+    """:func:`get_state`'s keys over the model's own arrays (no copies).
+
+    The views change with the model: read them before it trains again.
+    """
+    views = {name: p.data for name, p in model.named_parameters()}
+    for name, buf in model.named_buffers():
+        views["buffer::" + name] = buf
+    return views
 
 
 def set_state(

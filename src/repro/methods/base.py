@@ -48,9 +48,11 @@ class FederatedMethod(abc.ABC):
     method_name: str = "method"
     target_density: float = 1.0
     #: Whether :meth:`round_hook` reads the per-client uploaded states.
-    #: Methods that ignore them declare ``False`` so the round loop can
-    #: feed packed uploads straight into the sparse-aware aggregation
-    #: (no per-client dense decode) under the synchronous policy.
+    #: This also decides whether the round copies uploads: with
+    #: ``False`` each upload folds straight into the server's FedAvg
+    #: fold and is dropped (a view of the live model, or a packed
+    #: payload folded without a dense decode); with ``True`` every
+    #: aggregated upload is also kept as a dense state for the hook.
     needs_round_states: bool = True
 
     # ------------------------------------------------------------------

@@ -14,9 +14,9 @@ server memory. This suite pins both claims with numbers:
     phase stays flat as N grows 10x.
 
 ``round``
-    One full streaming FedAvg round (:meth:`run_streaming_sync_round`):
-    sample a cohort of IDs out of N, materialize -> train -> fold ->
-    release one client at a time.
+    One full FedAvg round (:meth:`run_fedavg_round`): sample a cohort
+    of IDs out of N, materialize -> train -> fold -> release one client
+    at a time.
 
 ``aggregate``
     The server-side reduction alone at cohort sizes up to 100k uploads:
@@ -64,7 +64,7 @@ POPULATIONS = (100_000, 1_000_000)
 #: Upload counts for the aggregation-only phase.
 AGGREGATE_COHORTS = (1_000, 10_000, 100_000)
 
-#: Training cohort per streaming round (kept modest so the grid runs
+#: Training cohort per round (kept modest so the grid runs
 #: on laptop-class hardware; the aggregate phase covers the 100k axis).
 ROUND_COHORT = 256
 
@@ -140,7 +140,7 @@ class _Cell:
     def round(self) -> None:
         if self.ctx is None:
             self.setup()
-        self.ctx.run_streaming_sync_round()
+        self.ctx.run_fedavg_round(need_states=False)
 
     def close(self) -> None:
         if self.ctx is not None:

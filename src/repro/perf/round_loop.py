@@ -18,9 +18,9 @@ for two transport pipelines:
     against the server masks (:mod:`repro.fl.payload`), written once
     into a ``multiprocessing.shared_memory`` arena, and restored into a
     persistent worker model through zero-copy ``np.frombuffer`` views;
-    uploads are packed payloads; aggregation is the sparse-aware
-    allocation-free path that accumulates only active entries through a
-    reusable workspace.
+    uploads are packed payloads; aggregation is the round's FedAvg fold
+    (:class:`~repro.fl.aggregation.HierarchicalAggregator`), which
+    accumulates only active entries into buffers reused across rounds.
 
 Phase times scale with *density* under ``packed`` and with *model
 size* under ``legacy`` — the gap at 10% density is the acceptance
@@ -44,8 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..fl.aggregation import AggregationWorkspace, aggregate_packed_states, \
-    weighted_average_states
+from ..fl.aggregation import HierarchicalAggregator, weighted_average_states
 from ..fl.payload import ModelBinding, PackedPayload, StatePacker, \
     build_mask_indices, pack_state
 from ..fl.state import get_state
@@ -101,7 +100,7 @@ def _random_masks(
 
 class _Cell:
     """One grid cell: a model, a fleet size, a density — plus both
-    pipelines' reusable fixtures (arena, worker model, workspace)."""
+    pipelines' reusable fixtures (arena, worker model, fold)."""
 
     def __init__(
         self, case: ModelCase, clients: int, density: float
@@ -142,7 +141,7 @@ class _Cell:
         self.packer = StatePacker(
             self.state, self.masks, indices=self.indices
         )
-        self.workspace = AggregationWorkspace()
+        self.fold = HierarchicalAggregator(self.counts)
         self.spec_cache: dict = {}
         dense_cap = pack_state(self.state, MaskSet.dense(self.model))
         self.arena = shared_memory.SharedMemory(
@@ -192,9 +191,11 @@ class _Cell:
             )
 
     def packed_aggregate(self) -> None:
-        aggregate_packed_states(
-            self.client_payloads, self.counts, workspace=self.workspace
-        )
+        # The server's steady state: one fold restarted every round.
+        self.fold.restart(self.counts)
+        for payload in self.client_payloads:
+            self.fold.add(payload)
+        self.fold.finish()
 
     def steps(self) -> dict[str, dict[str, callable]]:
         return {

@@ -78,6 +78,23 @@ class TestSerialVsParallel:
         for ra, rb in zip(a["rounds"], b["rounds"]):
             assert ra == rb
 
+    def test_identical_async_rounds(self):
+        # Async rounds fold process uploads packed until the policy adds
+        # its stale buffer, then decode them; the serial backend folds
+        # dense views throughout. Every round must commit the same.
+        kwargs = dict(
+            scale="tiny", seed=0, rounds=3, round_policy="async",
+            fleet="heterogeneous:8",
+        )
+        serial = run_experiment(
+            "fedavg", "resnet18", "cifar10", 1.0, **kwargs
+        )
+        parallel = run_experiment(
+            "fedavg", "resnet18", "cifar10", 1.0, executor="process",
+            **kwargs,
+        )
+        assert _result_record(serial) == _result_record(parallel)
+
     def test_process_backend_restores_client_rng(self):
         # The parallel backend trains pickled client copies; the
         # original clients' RNG streams must still advance exactly as

@@ -3,7 +3,7 @@
 Covers the deterministic fault schedule, the retry policy, wire damage
 helpers, the server's ingest pipeline (dedup / stale-epoch / quarantine
 with validation-before-write), the seeded chaos suite under both
-executors, the streaming-round exception regression, context-manager
+executors, the round exception regression, context-manager
 lifecycles, and crash-resumable checkpoints.
 """
 
@@ -288,7 +288,7 @@ class TestRoundIngest:
         with pytest.raises(PayloadFormatError):
             payload.validate()
         with pytest.raises(Exception):
-            ctx.server.aggregate_packed([payload], [10])
+            ctx.server.aggregate([payload], [10])
         _assert_fingerprint_unchanged(ctx.server, fingerprint)
 
 
@@ -345,7 +345,7 @@ class TestUploadIdempotency:
                     ingest.accepted_payload(cid) for cid in canonical
                 ]
                 assert all(p is not None for p in payloads)
-                ctx.server.aggregate_packed(
+                ctx.server.aggregate(
                     payloads, [counts[cid] for cid in canonical]
                 )
                 committed = {
@@ -484,7 +484,7 @@ class TestChaosSuite:
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: streaming round exception safety
+# Satellite 1: round exception safety
 # ----------------------------------------------------------------------
 class TestStreamingRoundExceptionSafety:
     def test_mid_round_failure_restores_everything(self, monkeypatch):
@@ -504,7 +504,7 @@ class TestStreamingRoundExceptionSafety:
 
             monkeypatch.setattr(Client, "train", explode_on_second)
             with pytest.raises(RuntimeError, match="mid-round"):
-                ctx.run_streaming_sync_round()
+                ctx.run_fedavg_round()
             # Committed state, masks and epoch are untouched.
             _assert_fingerprint_unchanged(ctx.server, fingerprint)
             # Every client was released: the directory can materialize
@@ -516,7 +516,8 @@ class TestStreamingRoundExceptionSafety:
             # And the next (un-sabotaged) round runs to completion
             # exactly like a fresh context's first round would.
             monkeypatch.setattr(Client, "train", original)
-            info = ctx.run_streaming_sync_round()
+            ctx.run_fedavg_round()
+            info = ctx.last_round_info
             assert info.aggregated_ids == tuple(
                 range(ctx.config.num_clients)
             )
@@ -544,9 +545,9 @@ class TestStreamingRoundExceptionSafety:
                 monkeypatch.setattr(Client, "train", maybe_explode)
                 if sabotage_first:
                     with pytest.raises(RuntimeError):
-                        ctx.run_streaming_sync_round()
+                        ctx.run_fedavg_round()
                     calls["n"] = 10**9  # no more sabotage
-                ctx.run_streaming_sync_round()
+                ctx.run_fedavg_round()
                 state = {
                     k: v.copy() for k, v in ctx.server.state.items()
                 }
@@ -562,6 +563,68 @@ class TestStreamingRoundExceptionSafety:
         assert set(clean) == set(replayed)
         for name in clean:
             np.testing.assert_array_equal(clean[name], replayed[name])
+
+    def test_failed_partial_round_replays_the_same_cohort(
+        self, monkeypatch
+    ):
+        """Under partial participation the cohort draw rewinds too: the
+        replay selects, trains and commits what a clean round does."""
+        from repro.fl.client import Client
+
+        original = Client.train
+
+        def run(sabotage):
+            ctx = _make_context(
+                client_backend="virtual", num_clients=6,
+                participation_fraction=0.5,
+            )
+            calls = {"n": 0}
+
+            def explode_once(self, *args, **kwargs):
+                calls["n"] += 1
+                if sabotage and calls["n"] == 1:
+                    raise RuntimeError("boom")
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Client, "train", explode_once)
+            try:
+                if sabotage:
+                    with pytest.raises(RuntimeError):
+                        ctx.run_fedavg_round()
+                ctx.run_fedavg_round()
+                ctx.run_fedavg_round()
+                return ctx.last_round_info, _server_fingerprint(ctx.server)
+            finally:
+                monkeypatch.setattr(Client, "train", original)
+                ctx.close()
+
+        clean_info, clean_server = run(sabotage=False)
+        info, server = run(sabotage=True)
+        assert info == clean_info
+        for a, b in zip(clean_server[0].values(), server[0].values()):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestExecutorOutcome:
+    def test_lost_tasks_become_exclusions(self):
+        # Without a fault schedule, a backend's None slots are excluded
+        # with the records and recoveries a retry-exhausted client gets.
+        from repro.fl.faults import RoundOutcome
+
+        outcome = RoundOutcome.of_executor(
+            ["a", None, "c", None], [7, 8, 9, 10], round_index=4
+        )
+        assert outcome.excluded == frozenset({1, 3})
+        assert outcome.extra_seconds == 0.0
+        assert [(r.round_index, r.client_id, r.kind, r.action)
+                for r in outcome.records] == [
+            (4, 8, "connection_lost", "excluded"),
+            (4, 10, "connection_lost", "excluded"),
+        ]
+        assert outcome.stats.recoveries == 2
+        assert outcome.stats.injected == outcome.stats.retries == 0
+        clean = RoundOutcome.of_executor(["a"], [0], round_index=1)
+        assert not clean.excluded and not clean.records
 
 
 # ----------------------------------------------------------------------

@@ -17,17 +17,17 @@ from repro.data.partition import (
 )
 from repro.fl.aggregation import (
     HierarchicalAggregator,
-    aggregate_packed_states,
     weighted_average_states,
 )
 from repro.fl.client import Client
 from repro.fl.fleet import (
+    Cohort,
     MaterializedDirectory,
     VirtualClientDirectory,
     cohort_size,
 )
 from repro.fl.latency import FleetPlan, build_fleet
-from repro.fl.payload import pack_state
+from repro.fl.payload import pack_state, unpack_state
 from repro.fl.policies import RoundPlan
 from repro.fl.simulation import FederatedContext, FLConfig
 from repro.fl.state import get_state
@@ -347,6 +347,21 @@ class TestVirtualDirectory:
         virtual.device_profile(3)
         assert virtual.live_count == 0
 
+    def test_cohort_materializes_on_access(self, tiny_dataset):
+        train, _ = tiny_dataset
+        virtual = self._directory(train)
+        cohort = Cohort(virtual, [3, 1])
+        assert len(cohort) == 2 and virtual.live_count == 0
+        first = cohort[0]
+        assert first.client_id == 3 and virtual.live_count == 1
+        boundary = first.rng.bit_generator.state
+        first.rng.uniform(size=3)
+        # The RNG position recorded is the one at first access.
+        assert cohort[0] is first
+        assert cohort.round_rng == {3: boundary}
+        assert [c.client_id for c in cohort] == [3, 1]
+        assert set(cohort.round_rng) == {1, 3}
+
     def test_size_mismatch_rejected(self, tiny_dataset):
         train, _ = tiny_dataset
         plan = plan_partition(train, 4, 0.5, np.random.default_rng(0))
@@ -430,7 +445,9 @@ class TestHierarchicalAggregator:
             state["w"] = np.where(w_mask, state["w"], np.float32(0.0))
             states.append(state)
         payloads = [pack_state(state, masks) for state in states]
-        flat = aggregate_packed_states(payloads, counts)
+        flat = weighted_average_states(
+            [unpack_state(payload) for payload in payloads], counts
+        )
         agg = HierarchicalAggregator(counts, fan_in=fan_in)
         for payload in payloads:
             agg.add_payload(payload)
@@ -553,7 +570,8 @@ class TestBackendEquivalence:
         b = _make_ctx(train, test, "virtual")
         try:
             a.run_fedavg_round()
-            info = b.run_streaming_sync_round()
+            b.run_fedavg_round()
+            info = b.last_round_info
             sa, sb = get_state(a.model), get_state(b.model)
             for name in sa:
                 np.testing.assert_array_equal(sa[name], sb[name])
@@ -572,8 +590,36 @@ class TestBackendEquivalence:
         train, test = tiny_dataset
         ctx = _make_ctx(train, test, "virtual")
         try:
-            ctx.run_streaming_sync_round()
+            ctx.run_fedavg_round()
             assert ctx.directory.live_count == 0
+        finally:
+            ctx.close()
+
+    @pytest.mark.parametrize("need_states", [False, True])
+    def test_fedavg_round_trains_one_live_client_at_a_time(
+        self, tiny_dataset, monkeypatch, need_states
+    ):
+        # The round FedAvg runs (needs_round_states=False), and the one
+        # a state-reading hook gets: on the virtual fleet with the
+        # serial executor each client is built, trained, folded and
+        # released before the next one exists.
+        train, test = tiny_dataset
+        ctx = _make_ctx(train, test, "virtual", frac=0.6)
+        original = Client.train
+        live = []
+
+        def train_counting(self, *args, **kwargs):
+            live.append(ctx.directory.live_count)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Client, "train", train_counting)
+        try:
+            for _ in range(2):
+                ctx.run_fedavg_round(need_states=need_states)
+                assert ctx.directory.live_count == 0
+            cohort = len(ctx.last_round_info.selected_ids)
+            assert len(live) == 2 * cohort
+            assert max(live) <= 1
         finally:
             ctx.close()
 
@@ -637,7 +683,8 @@ class TestBackendEquivalence:
         )
         try:
             assert ctx.directory.num_clients == 10_000
-            info = ctx.run_streaming_sync_round()
+            ctx.run_fedavg_round()
+            info = ctx.last_round_info
             assert len(info.selected_ids) == 4
             assert ctx.directory.live_count == 0
         finally:

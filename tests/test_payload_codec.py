@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fl.aggregation import (
-    AggregationWorkspace,
-    aggregate_packed_states,
+    HierarchicalAggregator,
     weighted_average_states,
 )
 from repro.fl.payload import (
@@ -21,6 +20,7 @@ from repro.fl.payload import (
     unpack_into_model,
     unpack_state,
 )
+from repro.fl.server import Server
 from repro.fl.state import get_state
 from repro.nn.models import build_model
 from repro.sparse.mask import MaskSet
@@ -44,6 +44,17 @@ def _random_state_and_masks(rng, densities):
         rng.random(12).astype(np.float32) + 0.5
     )
     return state, MaskSet(masks)
+
+
+def _fold(uploads, counts, fold=None):
+    """FedAvg through the round's fold (optionally a restarted one)."""
+    if fold is None:
+        fold = HierarchicalAggregator(counts)
+    else:
+        fold.restart(counts)
+    for upload in uploads:
+        fold.add(upload)
+    return fold.finish()
 
 
 class TestRoundTrip:
@@ -111,64 +122,24 @@ class TestRoundTrip:
         np.testing.assert_array_equal(restored["t0"], 0.0)
 
 
-class TestDeltaEncoding:
-    def test_delta_roundtrip_is_bit_exact(self):
-        rng = np.random.default_rng(7)
-        state, masks = _random_state_and_masks(rng, [0.3, 0.6, 0.1, 0.9])
-        base = {
-            k: (v + rng.normal(size=v.shape).astype(np.float32) * 1e-3)
-            for k, v in state.items()
-        }
-        payload = pack_state(state, masks, base=base)
-        assert payload.delta
-        restored = unpack_state(payload, base=base)
-        for name in state:
-            a, b = state[name], restored[name]
-            active = a != 0
-            assert (
-                a[active].view(np.uint32) == b[active].view(np.uint32)
-            ).all(), name
-
-    def test_delta_of_identical_state_is_all_zero_words(self):
-        rng = np.random.default_rng(8)
-        state, masks = _random_state_and_masks(rng, [0.4, 0.4, 0.4, 0.4])
-        payload = pack_state(state, masks, base=state)
-        for spec in payload.specs:
-            np.testing.assert_array_equal(
-                payload.values_view(spec).view(np.uint32), 0
-            )
-
-    def test_delta_composes_across_rounds(self):
-        # round0 --delta--> round1 --delta--> round2: decoding each
-        # delta against the previously reconstructed state reproduces
-        # every round bit-exactly.
-        rng = np.random.default_rng(9)
-        round0, masks = _random_state_and_masks(rng, [0.3, 0.7, 0.2, 0.5])
-        def perturb(state):
-            out = {}
-            for k, v in state.items():
-                noise = rng.normal(size=v.shape).astype(np.float32) * 0.01
-                out[k] = np.where(v != 0, v + noise, v).astype(np.float32)
-            return out
-        round1 = perturb(round0)
-        round2 = perturb(round1)
-        d1 = pack_state(round1, masks, base=round0)
-        d2 = pack_state(round2, masks, base=round1)
-        rec1 = unpack_state(d1, base=round0)
-        rec2 = unpack_state(d2, base=rec1)
-        for name in round2:
-            active = round2[name] != 0
-            assert (
-                rec2[name][active].view(np.uint32)
-                == round2[name][active].view(np.uint32)
-            ).all(), name
-
-    def test_delta_requires_base_on_unpack(self):
-        rng = np.random.default_rng(10)
-        state, masks = _random_state_and_masks(rng, [0.5] * 4)
-        payload = pack_state(state, masks, base=state)
-        with pytest.raises(ValueError, match="base"):
-            unpack_state(payload)
+class TestWireFlags:
+    def test_flagged_wire_is_quarantined_by_ingest(self):
+        # The header's flags byte carries no defined bits: a wire with
+        # one set is malformed outside input, rejected before it can
+        # reach the aggregation.
+        model = build_model("small_cnn", num_classes=10, seed=0)
+        server = Server(model)
+        wire = bytearray(pack_model_state(model, server.masks).to_bytes())
+        wire[5] |= 0x01  # 4s magic, B version, B flags
+        with pytest.raises(PayloadFormatError, match="flags"):
+            PackedPayload.from_bytes(bytes(wire))
+        ingest = server.begin_ingest(1)
+        status = ingest.submit(
+            0, 0, mask_epoch=server.mask_epoch, wire=bytes(wire)
+        )
+        assert status == "quarantined"
+        assert [r.kind for r in ingest.records] == ["payload_format"]
+        assert ingest.accepted_clients == []
 
 
 class TestValidation:
@@ -431,24 +402,21 @@ class TestPackedAggregation:
         counts = [120, 80, 200, 40]
         payloads = [pack_state(s, masks) for s in states]
         dense = weighted_average_states(states, counts)
-        packed = aggregate_packed_states(payloads, counts)
+        packed = _fold(payloads, counts)
         assert set(dense) == set(packed)
         for name in dense:
             np.testing.assert_array_equal(
                 dense[name], packed[name], err_msg=name
             )
 
-    def test_workspace_reuse_is_identical(self):
+    def test_fold_restart_is_identical(self):
         rng = np.random.default_rng(12)
         state, masks = _random_state_and_masks(rng, [0.2, 0.4, 0.6, 0.8])
         payloads = [pack_state(state, masks) for _ in range(3)]
         counts = [10, 20, 30]
-        workspace = AggregationWorkspace()
-        first = aggregate_packed_states(payloads, counts, workspace=workspace)
-        first = {k: v.copy() for k, v in first.items()}
-        second = aggregate_packed_states(
-            payloads, counts, workspace=workspace
-        )
+        fold = HierarchicalAggregator(counts)
+        first = _fold(payloads, counts, fold)
+        second = _fold(payloads, counts, fold)
         for name in first:
             np.testing.assert_array_equal(first[name], second[name])
 
@@ -472,7 +440,7 @@ class TestPackedAggregation:
         )
         assert a.specs == b.specs  # counts collide on purpose
         with pytest.raises(ValueError, match="active indices"):
-            aggregate_packed_states([a, b], [1, 1])
+            _fold([a, b], [1, 1])
 
     def test_mismatched_specs_rejected(self):
         rng = np.random.default_rng(13)
@@ -493,11 +461,11 @@ class TestPackedAggregation:
             other_masks,
         )
         with pytest.raises(ValueError, match="mismatched specs"):
-            aggregate_packed_states([a, b], [1, 1])
+            _fold([a, b], [1, 1])
 
 
-class TestWorkspaceDenseAggregation:
-    def test_workspace_path_bitwise_matches_allocating_path(self):
+class TestFoldDenseAggregation:
+    def test_restarted_fold_bitwise_matches_allocating_path(self):
         rng = np.random.default_rng(14)
         states = [
             {
@@ -508,8 +476,12 @@ class TestWorkspaceDenseAggregation:
         ]
         counts = [3, 5, 7, 11, 13]
         plain = weighted_average_states(states, counts)
-        workspace = AggregationWorkspace()
-        fast = weighted_average_states(states, counts, workspace=workspace)
+        # A fold whose buffers last held another cohort (a packed one,
+        # of another layout) must not leak anything into this one.
+        fold = HierarchicalAggregator([1])
+        fold.add(pack_state({"w": states[0]["w"][:2]}, MaskSet({})))
+        fold.finish()
+        fast = _fold(states, counts, fold)
         for name in plain:
             assert (
                 plain[name].view(np.uint32) == fast[name].view(np.uint32)

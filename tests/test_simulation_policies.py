@@ -27,7 +27,6 @@ from repro.fl import (
     uniform_fleet,
     weighted_average_states,
 )
-from repro.fl.aggregation import staleness_weighted_average_states
 from repro.fl.policies import _POLICIES, RoundPlan
 
 
@@ -217,39 +216,51 @@ class TestRoundPlans:
 
 
 class TestStalenessAggregation:
-    def _states(self, values):
-        return [{"w": np.full(3, v, dtype=np.float32)} for v in values]
-
-    def test_zero_staleness_matches_fedavg(self):
-        states = self._states([1.0, 2.0, 3.0])
-        counts = [10, 20, 30]
-        plain = weighted_average_states(states, counts)
-        stale = staleness_weighted_average_states(
-            states, counts, [0, 0, 0], discount=0.5
+    def test_async_commit_matches_discounted_fedavg(self, monkeypatch):
+        """The async policy's commit is FedAvg over the on-time uploads
+        and last round's late ones, at ``|D_k| * discount**staleness``
+        (staleness 0 fresh, 1 buffered) — bitwise."""
+        scale = get_scale("tiny")
+        ctx, _ = make_context(
+            "resnet18", "cifar10", scale, seed=0, rounds=2,
+            fleet="heterogeneous:8", round_policy="async",
+            staleness_discount=0.5,
         )
-        np.testing.assert_array_equal(plain["w"], stale["w"])
+        handed = []
+        end_fold = BufferedAsyncPolicy.end_fold
 
-    def test_stale_uploads_are_discounted(self):
-        states = self._states([0.0, 1.0])
-        # Equal samples; the second upload is one round stale at 0.5
-        # discount -> weights 2/3 and 1/3.
-        merged = staleness_weighted_average_states(
-            states, [10, 10], [0, 1], discount=0.5
-        )
-        np.testing.assert_allclose(merged["w"], np.full(3, 1.0 / 3.0),
-                                   rtol=1e-6)
+        def record_late(self, late):
+            handed.append(list(late))
+            return end_fold(self, late)
 
-    def test_validation(self):
-        states = self._states([1.0, 2.0])
-        with pytest.raises(ValueError):
-            staleness_weighted_average_states(states, [1, 1], [0, 1],
-                                              discount=0.0)
-        with pytest.raises(ValueError):
-            staleness_weighted_average_states(states, [1, 1], [0],
-                                              discount=0.5)
-        with pytest.raises(ValueError):
-            staleness_weighted_average_states(states, [1, 1], [0, -1],
-                                              discount=0.5)
+        monkeypatch.setattr(BufferedAsyncPolicy, "end_fold", record_late)
+        try:
+            ctx.run_fedavg_round()
+            first = ctx.last_round_info
+            fresh = ctx.run_fedavg_round()
+            second = ctx.last_round_info
+            stale = [state for state, _ in handed[0]]
+            assert len(stale) == len(first.late_ids) > 0
+            assert second.stale_applied == len(stale)
+            count = ctx.directory.sample_count
+            counts = np.asarray(
+                [count(i) for i in second.aggregated_ids]
+                + [count(i) for i in first.late_ids],
+                dtype=np.float64,
+            )
+            staleness = np.asarray(
+                [0] * len(fresh) + [1] * len(stale), dtype=np.float64
+            )
+            expected = weighted_average_states(
+                fresh + stale, counts * 0.5**staleness
+            )
+            for name, value in expected.items():
+                assert (
+                    ctx.server.state[name].view(np.uint32)
+                    == value.view(np.uint32)
+                ).all(), name
+        finally:
+            ctx.close()
 
 
 class TestSimulatedRounds:
