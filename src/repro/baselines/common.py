@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
 from ..data.dataset import Dataset
 from ..fl.simulation import FederatedContext
 from ..fl.state import get_state
 from ..fl.training import server_pretrain
-from ..metrics.flops import training_flops_per_sample
 from ..metrics.memory import device_memory_footprint
 from ..metrics.tracker import RunResult
 
-__all__ = ["pretrain_on_server", "run_training_rounds", "finalize_memory"]
-
-RoundHook = Callable[[int, list[dict[str, np.ndarray]]], float]
+__all__ = ["pretrain_on_server", "finalize_memory"]
 
 
 def pretrain_on_server(
@@ -32,34 +25,6 @@ def pretrain_on_server(
         seed=ctx.config.seed,
     )
     ctx.server.commit_state(get_state(ctx.model))
-
-
-def run_training_rounds(
-    ctx: FederatedContext,
-    result: RunResult,
-    round_hook: RoundHook | None = None,
-) -> None:
-    """The shared federated loop: train, optionally adjust, record.
-
-    ``round_hook`` runs after aggregation with the per-client uploaded
-    states and returns any extra per-device FLOPs the method spent that
-    round (mask-adjustment passes etc.).
-
-    Kept for ad-hoc experiment scripts; methods themselves now inherit
-    the same loop from :class:`repro.methods.FederatedMethod`.
-    """
-    max_samples = max(ctx.sample_counts)
-    for round_index in range(1, ctx.config.rounds + 1):
-        base_flops = (
-            training_flops_per_sample(ctx.profile, ctx.server.masks)
-            * ctx.config.local_epochs
-            * max_samples
-        )
-        states = ctx.run_fedavg_round()
-        extra_flops = 0.0
-        if round_hook is not None:
-            extra_flops = round_hook(round_index, states)
-        ctx.record_round(result, round_index, base_flops + extra_flops)
 
 
 def finalize_memory(

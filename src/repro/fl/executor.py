@@ -14,33 +14,32 @@ built. Three backends ship built in:
   broadcast snapshot (one memcpy, no allocation) and is bit-identical
   to the original per-client ``load_into_model`` installation;
 - ``process`` (:class:`ProcessPoolClientExecutor`) — persistent worker
-  processes cache the model structure from start-up and receive each
-  round's state as a *packed sparse payload* through a
-  ``multiprocessing.shared_memory`` arena: the master packs and writes
-  once per round, every worker maps the same segment and restores its
-  cached model through zero-copy ``np.frombuffer`` views. Uploads come
-  back packed as well, so per-round data movement scales with the
-  active-parameter count instead of the dense model size. Client RNG
-  streams are shipped and restored per task, keeping the round-to-round
-  batch draws identical to the serial backend;
-- ``network`` (:class:`NetworkClientExecutor`) — a long-lived localhost
-  round server (:mod:`repro.fl.network_server`) hosts the master's side
-  of a small framed protocol; worker *processes* register with session
-  tokens, heartbeat, pull the packed broadcast, and push packed uploads
-  over real sockets — :class:`~repro.fl.payload.PackedPayload` bytes
-  verbatim as the wire format, re-validated by the server's
-  :class:`~repro.fl.server.RoundIngest` on arrival. Workers materialize
-  clients from the pickled :class:`~repro.fl.fleet.ClientDirectory` and
-  the master ships each task's client RNG, so a fixed-seed sync run is
-  byte-for-byte identical to the serial backend. Churn (dropped
-  connections, killed workers, a mid-run server restart) is survived by
-  heartbeat liveness, session resume, idempotent upload replay, and
-  bounded task reassignment; a client whose task exhausts the budget
-  comes back as ``None`` and the round reweights it out.
+  processes fed through a ``multiprocessing.shared_memory`` arena: the
+  master writes each broadcast once and every worker maps the same
+  segment;
+- ``network`` (:class:`NetworkClientExecutor`) — worker processes talk
+  to a long-lived localhost round server
+  (:mod:`repro.fl.network_server`) over a small framed protocol: they
+  register with session tokens, heartbeat, pull the broadcast, and push
+  uploads over real sockets, which the server's
+  :class:`~repro.fl.server.RoundIngest` re-validates on arrival. Churn
+  (dropped connections, killed workers, a mid-run server restart) is
+  survived by heartbeat liveness, session resume, idempotent upload
+  replay, and bounded task reassignment; a client whose task exhausts
+  the budget comes back as ``None`` and the round reweights it out.
 
-All worker backends ship the population as a pickled ``ClientDirectory``
-(not a flat client list), so the ``virtual`` fleet backend works under
-them: a worker materializes only the clients it is actually assigned.
+The two worker backends differ only in transport; both run one worker
+body, :class:`_WorkerRuntime`. The pickled
+:class:`~repro.fl.fleet.ClientDirectory` and model structure ship once
+per worker, and a worker materializes only the clients it is assigned,
+so the ``virtual`` fleet backend works under both. Per round the
+master's one publisher packs the broadcast sparse through a
+:class:`~repro.fl.payload.ModelBinding`; the worker installs it through
+zero-copy views, restores its model per task, installs the client RNG
+stream the master ships, trains, and packs the upload through its own
+binding. Data movement therefore scales with the active-parameter
+count, and a fixed-seed run is byte-for-byte identical to the serial
+backend.
 
 Backends are selected via ``FLConfig.executor`` (and the ``--executor``
 CLI flag); new ones can be added with :func:`register_executor` without
@@ -56,7 +55,7 @@ import struct
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,8 +63,7 @@ from ..nn import engine
 from ..sparse.mask import MaskSet
 from .bn import set_bn_statistics
 from .client import Client, LocalTrainResult
-from .payload import ModelBinding, PackedPayload, StatePacker, \
-    build_mask_indices, pack_model_state
+from .payload import ModelBinding, PackedPayload, build_mask_indices
 from .state import state_views
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -121,6 +119,14 @@ class ClientExecutor(ABC):
     #: The round cannot fold such a backend's uploads before the cohort
     #: is final, so it holds them until training ends.
     loses_tasks: bool = False
+
+    def __init__(
+        self,
+        max_workers: int | None = None,
+        transport: "TransportConfig | None" = None,
+    ) -> None:
+        """Every backend is built as ``factory(max_workers=...,
+        transport=...)``; in-process backends need neither."""
 
     @abstractmethod
     def run_clients(
@@ -253,9 +259,6 @@ class SerialExecutor(ClientExecutor):
 
     name = "serial"
 
-    def __init__(self, max_workers: int | None = None) -> None:
-        del max_workers  # accepted for a uniform factory signature
-
     def run_clients(
         self,
         ctx: "FederatedContext",
@@ -355,140 +358,158 @@ def _unpack_masks_blob(blob: bytes) -> MaskSet:
     return MaskSet(masks)
 
 
-# Worker-process caches. The client *directory* and the model structure
-# ship once per worker at pool start-up; per round the worker re-reads
-# only the packed broadcast from the shared-memory arena, and clients
-# are materialized from the directory by ID on first assignment — so
-# the virtual fleet backend works unchanged under worker pools.
-_WORKER_DIRECTORY: "ClientDirectory | None" = None
-_WORKER_MODEL = None
-_WORKER_BCAST: dict = {
-    "shm": None,
-    "shm_name": None,
-    "round_tag": None,
-    "payload": None,
-    "mask_epoch": None,
-    "masks": None,
-    "indices": None,
-    "binding": None,
-}
+class _WorkerRuntime:
+    """The one worker body both worker backends run.
 
-
-def _init_worker(directory_blob: bytes, model_blob: bytes) -> None:
-    global _WORKER_DIRECTORY, _WORKER_MODEL
-    _WORKER_DIRECTORY = pickle.loads(directory_blob)
-    _WORKER_MODEL = pickle.loads(model_blob)
-
-
-def _worker_client(client_id: int) -> Client:
-    """This worker's live copy of one client, built on first use.
-
-    The worker-side RNG position is irrelevant for training tasks (the
-    master ships the authoritative stream with every task), but the
-    materialized client itself — data shard, dev cache — is cached by
-    the directory for the worker's lifetime.
+    Holds the worker's unpickled client directory and model. Per round,
+    :meth:`install` takes the broadcast from whichever transport carried
+    it; per task, :meth:`train` or :meth:`select` restores the model
+    from it and runs one client. Masks are re-read only when the mask
+    key changes (the server's mask epoch, or a candidate's mask token),
+    and the :class:`ModelBinding` only when the spec layout does.
+    Clients materialize from the directory on first assignment and stay
+    cached for the worker's lifetime.
     """
-    if _WORKER_DIRECTORY is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker used before _init_worker ran")
-    return _WORKER_DIRECTORY.materialize(client_id)
 
+    def __init__(self, directory_blob: bytes, model_blob: bytes) -> None:
+        self.directory: "ClientDirectory" = pickle.loads(directory_blob)
+        self.model = pickle.loads(model_blob)
+        self.round_tag: object = None
+        self.mask_key: object = None
+        self.indices: dict[str, np.ndarray] | None = None
+        self.binding: ModelBinding | None = None
+        self.payload: PackedPayload | None = None
+        #: The process pool's attached broadcast arena (and its name).
+        self.arena = None
+        self.arena_name: str | None = None
+        # Persistent across selection passes: the dev batch arrays it
+        # keys on live on the cached clients, so entries stay valid for
+        # the worker's lifetime and are bounded by the layers that see
+        # raw dev batches (the stem).
+        self._lowering = engine.LoweringCache()
+        self._lowering_keys: set = set()
 
-def _worker_refresh_broadcast(
-    shm_name: str, round_tag: int, mask_epoch: object
-) -> None:
-    """Map this round's broadcast (arena + payload views) if not cached."""
-    cache = _WORKER_BCAST
-    if cache["round_tag"] == round_tag:
-        return
-    if cache["shm_name"] != shm_name:
-        # Drop every view into the old segment before closing it, or
-        # close() refuses while exported buffers exist.
-        cache["payload"] = None
-        if cache["binding"] is not None:
-            cache["binding"].release()
-        if cache["shm"] is not None:
+    def install(
+        self, round_tag: object, mask_key: object, masks_blob, payload_wire
+    ) -> None:
+        """Install one round's broadcast from its transport bytes.
+
+        ``masks_blob`` and ``payload_wire`` may be views into transport
+        memory; the payload keeps zero-copy views into ``payload_wire``
+        until the next install or :meth:`close`.
+        """
+        masks_changed = self.mask_key != mask_key
+        if masks_changed:
+            masks = _unpack_masks_blob(masks_blob)
+            # Applying the masks zeroes every pruned position, which is
+            # what lets each task's restore scatter only active entries.
+            masks.apply(self.model)
+            self.indices = build_mask_indices(masks)
+            self.mask_key = mask_key
+        payload = PackedPayload.from_bytes(payload_wire, copy=False)
+        if masks_changed or self.binding is None \
+                or self.binding.specs != payload.specs:
+            self.binding = ModelBinding(self.model, payload.specs)
+        self.payload = payload
+        self.round_tag = round_tag
+
+    def _checkout(self, client_id: int) -> Client:
+        # Per-task download: a second task of the round must not see the
+        # previous task's trained weights. Pruned positions are already
+        # zero (mask application on key change, masked SGD in between),
+        # so only active entries are written.
+        self.binding.restore(self.payload, assume_masked=True)
+        return self.directory.materialize(client_id)
+
+    def train(
+        self, client_id: int, rng_state: dict, kwargs: dict
+    ) -> tuple[bytearray, int, int, float, dict]:
+        """Train one client on the broadcast; returns its packed upload
+        ``(wire, num_samples, num_iterations, mean_loss, rng_state)``."""
+        client = self._checkout(client_id)
+        # The authoritative RNG stream lives in the master; install it
+        # so batch draws match serial execution whichever worker (with
+        # whatever stale cached client) picks the task up.
+        client.rng.bit_generator.state = rng_state
+        result = client.train(self.model, collect_state=False, **kwargs)
+        return (
+            self.binding.pack(indices=self.indices).to_wire(),
+            result.num_samples,
+            result.num_iterations,
+            result.mean_loss,
+            client.rng.bit_generator.state,
+        )
+
+    def select(self, client_id: int, kind: str, batch_size: int):
+        """One selection pass on one client: its BN statistics
+        (``kind="bn_stats"``) or its dev loss (``"dev_loss"``)."""
+        client = self._checkout(client_id)
+        key = (client_id, batch_size)
+        if key not in self._lowering_keys:
+            for index, (images, _) in enumerate(
+                client.dev_batches(batch_size)
+            ):
+                self._lowering.register_source(
+                    images, (client_id, batch_size, index)
+                )
+            self._lowering_keys.add(key)
+        with engine.lowering_cache(self._lowering):
+            if kind == "bn_stats":
+                return client.recalibrate_bn(self.model, batch_size)
+            return client.evaluate_candidate_loss(self.model, batch_size)
+
+    def close(self) -> None:
+        """Drop every view into the installed broadcast, then detach the
+        arena (``SharedMemory.close`` refuses while views exist)."""
+        self.payload = None
+        self.round_tag = None
+        if self.binding is not None:
+            self.binding.release()
+        if self.arena is not None:
             try:
-                cache["shm"].close()
+                self.arena.close()
             except BufferError as exc:  # pragma: no cover - defensive
                 # A straggling view keeps the old mapping alive; the
                 # segment itself is owned (and unlinked) by the master.
                 _LOG.warning(
                     "stale broadcast arena %s still has exported "
-                    "buffers: %s", cache["shm_name"], exc,
+                    "buffers: %s", self.arena_name, exc,
                 )
-        cache["shm"] = _attach_shared_memory(shm_name)
-        cache["shm_name"] = shm_name
-    buf = cache["shm"].buf
+            self.arena = None
+            self.arena_name = None
+
+
+#: The pool worker's runtime, built once by the pool initializer.
+_RUNTIME: _WorkerRuntime | None = None
+
+
+def _init_worker(directory_blob: bytes, model_blob: bytes) -> None:
+    global _RUNTIME
+    _RUNTIME = _WorkerRuntime(directory_blob, model_blob)
+
+
+def _arena_runtime(
+    shm_name: str, round_tag: int, mask_key: object
+) -> _WorkerRuntime:
+    """The pool worker's runtime with the arena's broadcast installed."""
+    runtime = _RUNTIME
+    if runtime is None:  # pragma: no cover - defensive
+        raise RuntimeError("worker used before _init_worker ran")
+    if runtime.round_tag == round_tag:
+        return runtime
+    if runtime.arena_name != shm_name:
+        runtime.close()
+        runtime.arena = _attach_shared_memory(shm_name)
+        runtime.arena_name = shm_name
+    buf = runtime.arena.buf
     masks_len, payload_len = _ARENA_HEADER.unpack_from(buf)
-    epoch_changed = cache["mask_epoch"] != mask_epoch
-    if epoch_changed:
-        start = _ARENA_HEADER.size
-        masks = _unpack_masks_blob(bytes(buf[start : start + masks_len]))
-        # Applying the masks zeroes every pruned position, which is what
-        # lets each task's restore scatter only the active entries.
-        masks.apply(_WORKER_MODEL)
-        cache["masks"] = masks
-        cache["indices"] = build_mask_indices(masks)
-        cache["mask_epoch"] = mask_epoch
+    start = _ARENA_HEADER.size
     offset = _arena_payload_offset(masks_len)
-    payload = PackedPayload.from_bytes(
-        buf[offset : offset + payload_len], copy=False
+    runtime.install(
+        round_tag, mask_key, buf[start : start + masks_len],
+        buf[offset : offset + payload_len],
     )
-    if epoch_changed or cache["binding"] is None \
-            or cache["binding"].specs != payload.specs:
-        cache["binding"] = ModelBinding(_WORKER_MODEL, payload.specs)
-    cache["payload"] = payload
-    cache["round_tag"] = round_tag
-
-
-# Worker-side lowering cache: persistent across selection passes (the
-# dev batch arrays it keys on live on the worker's cached clients, so
-# entries stay valid for the worker's lifetime and are bounded by the
-# layers that actually see raw dev batches — the stem).
-_WORKER_LOWERING = engine.LoweringCache()
-_WORKER_LOWERING_REGISTERED: set = set()
-
-
-def _worker_lowering_cache(
-    client: Client, batch_size: int
-) -> engine.LoweringCache:
-    key = (client.client_id, batch_size)
-    if key not in _WORKER_LOWERING_REGISTERED:
-        for index, (images, _) in enumerate(client.dev_batches(batch_size)):
-            _WORKER_LOWERING.register_source(
-                images, (client.client_id, batch_size, index)
-            )
-        _WORKER_LOWERING_REGISTERED.add(key)
-    return _WORKER_LOWERING
-
-
-def _selection_pass_shm(
-    shm_name: str,
-    round_tag: int,
-    mask_epoch: object,
-    client_id: int,
-    kind: str,
-    batch_size: int,
-):
-    """Worker-side selection body: restore the candidate, run one pass.
-
-    The candidate broadcast travels through the same shared-memory
-    arena as training rounds; ``mask_epoch`` is the candidate's mask
-    token, so the worker re-installs masks once per candidate and every
-    subsequent task scatter-restores only the active entries. Aggregated
-    BN statistics for a dev-loss pass arrive inside the broadcast (the
-    master installs them into the model's buffers before packing), so
-    no per-task stats payload is shipped.
-    """
-    _worker_refresh_broadcast(shm_name, round_tag, mask_epoch)
-    cache = _WORKER_BCAST
-    model = _WORKER_MODEL
-    cache["binding"].restore(cache["payload"], assume_masked=True)
-    client = _worker_client(client_id)
-    with engine.lowering_cache(_worker_lowering_cache(client, batch_size)):
-        if kind == "bn_stats":
-            return client.recalibrate_bn(model, batch_size)
-        return client.evaluate_candidate_loss(model, batch_size)
+    return runtime
 
 
 def _train_client_shm(
@@ -498,30 +519,28 @@ def _train_client_shm(
     client_id: int,
     rng_state: dict,
     kwargs: dict,
-) -> tuple[bytes, int, int, float, dict]:
-    """Worker-side round body: restore from the arena, train, pack back."""
-    _worker_refresh_broadcast(shm_name, round_tag, mask_epoch)
-    cache = _WORKER_BCAST
-    model = _WORKER_MODEL
-    # Zero-copy download: scatter the packed broadcast straight from the
-    # shared segment into the cached model's storage. Pruned positions
-    # are already zero (mask application on epoch change, masked SGD in
-    # between), so only active entries are written.
-    cache["binding"].restore(cache["payload"], assume_masked=True)
-    client = _worker_client(client_id)
-    # The authoritative RNG stream lives in the main process; install it
-    # so batch draws match serial execution regardless of which worker
-    # (with whatever stale cached state) picks the task up.
-    client.rng.bit_generator.state = rng_state
-    result = client.train(model, collect_state=False, **kwargs)
-    packed = cache["binding"].pack(indices=cache["indices"])
-    return (
-        packed.to_wire(),
-        result.num_samples,
-        result.num_iterations,
-        result.mean_loss,
-        client.rng.bit_generator.state,
-    )
+) -> tuple[bytearray, int, int, float, dict]:
+    """Pool task: train one client on the arena's broadcast."""
+    runtime = _arena_runtime(shm_name, round_tag, mask_epoch)
+    return runtime.train(client_id, rng_state, kwargs)
+
+
+def _selection_pass_shm(
+    shm_name: str,
+    round_tag: int,
+    mask_token: object,
+    client_id: int,
+    kind: str,
+    batch_size: int,
+):
+    """Pool task: one selection pass on the arena's candidate.
+
+    Aggregated BN statistics for a dev-loss pass arrive inside the
+    broadcast (the master installs them into the model's buffers before
+    packing), so no per-task stats payload is shipped.
+    """
+    runtime = _arena_runtime(shm_name, round_tag, mask_token)
+    return runtime.select(client_id, kind, batch_size)
 
 
 def _exit_worker() -> None:  # pragma: no cover - runs in a worker
@@ -530,39 +549,77 @@ def _exit_worker() -> None:  # pragma: no cover - runs in a worker
 
 
 class _BroadcastPacker:
-    """Master-side per-mask-epoch packing caches for one broadcast.
+    """The master's one broadcast publisher, for both worker backends.
 
-    Shared by every worker-backed executor: indices, the bit-packed
-    masks blob, and the :class:`StatePacker` are rebuilt only when the
-    server's mask epoch changes, and the upload ``spec_cache`` is
-    cleared with them (headers from dead epochs can never recur).
+    Packs the model through a :class:`ModelBinding`, the object the
+    workers restore and upload with, so a broadcast is one gather into
+    a persistent buffer. Indices, the bit-packed masks blob and the
+    binding are rebuilt only when the mask key changes (the server's
+    mask epoch for training rounds, a candidate's mask token for
+    selection passes), and the upload ``spec_cache`` is cleared with
+    them: headers from a dead key can never recur.
     """
 
     def __init__(self) -> None:
-        self.epoch: int | None = None
-        self.indices: dict[str, np.ndarray] | None = None
-        self.masks_blob: bytes | None = None
-        self.packer: StatePacker | None = None
-        self.spec_cache: dict = {}
+        self.reset()
 
-    def publish(self, server) -> tuple[bytes, PackedPayload]:
-        """Pack the server's current state; returns (masks blob, payload)."""
-        if self.epoch != server.mask_epoch:
-            self.indices = build_mask_indices(server.masks)
-            self.masks_blob = _pack_masks_blob(server.masks)
-            self.packer = StatePacker(
-                server.state, server.masks, indices=self.indices
-            )
+    def publish(
+        self, model, masks: MaskSet, key: object
+    ) -> tuple[bytes, PackedPayload]:
+        """Pack ``model`` under ``masks``; returns (masks blob, payload).
+
+        The payload's buffer is reused: serialize it before the next
+        publish.
+        """
+        binding = self.binding
+        if binding is None or binding.model is not model or self.key != key:
+            self.indices = build_mask_indices(masks)
+            self.masks_blob = _pack_masks_blob(masks)
+            self.binding = binding = ModelBinding.for_masks(model, masks)
             self.spec_cache.clear()
-            self.epoch = server.mask_epoch
-        return self.masks_blob, self.packer.pack(server.state)
+            self.key = key
+        return self.masks_blob, binding.pack(indices=self.indices)
 
     def reset(self) -> None:
-        self.epoch = None
-        self.indices = None
-        self.masks_blob = None
-        self.packer = None
-        self.spec_cache.clear()
+        self.key: object = None
+        self.indices: dict[str, np.ndarray] | None = None
+        self.masks_blob: bytes | None = None
+        self.binding: ModelBinding | None = None
+        self.spec_cache: dict = {}
+
+
+def _deliver(
+    clients: Sequence[Client],
+    uploads: Iterable[tuple | None],
+    on_upload: UploadCallback | None,
+) -> list[LocalTrainResult | None]:
+    """Turn worker uploads into the round's results, in participant order.
+
+    ``uploads`` yields, per client, ``None`` for a lost task or
+    ``(payload, num_samples, num_iterations, mean_loss, rng_state)``.
+    """
+    results: list[LocalTrainResult | None] = []
+    for position, (client, upload) in enumerate(zip(clients, uploads)):
+        if upload is None:
+            results.append(None)
+            continue
+        payload, num_samples, num_iterations, mean_loss, rng_state = upload
+        # The worker trained its own copy of the client; pull its
+        # advanced RNG back so later rounds draw the batches the serial
+        # backend would.
+        client.rng.bit_generator.state = rng_state
+        result = LocalTrainResult(
+            state=None,
+            num_samples=num_samples,
+            num_iterations=num_iterations,
+            mean_loss=mean_loss,
+            payload=payload,
+        )
+        if on_upload is not None:
+            on_upload(position, result)
+            result.payload = None
+        results.append(result)
+    return results
 
 
 class ProcessPoolClientExecutor(ClientExecutor):
@@ -570,13 +627,16 @@ class ProcessPoolClientExecutor(ClientExecutor):
 
     name = "process"
 
-    def __init__(self, max_workers: int | None = None) -> None:
+    def __init__(
+        self,
+        max_workers: int | None = None,
+        transport: "TransportConfig | None" = None,
+    ) -> None:
         self.max_workers = max_workers
         self._pool = None
         self._pool_directory: "ClientDirectory | None" = None
         self._arena = None
         self._arena_name: str | None = None
-        self._arena_gen = 0
         self._round_tag = 0
         self._bcast = _BroadcastPacker()
 
@@ -614,7 +674,6 @@ class ProcessPoolClientExecutor(ClientExecutor):
         if self._arena is not None and self._arena.size >= nbytes:
             return self._arena
         self._release_arena()
-        self._arena_gen += 1
         # Slack so mask adjustments that grow the payload a little do
         # not force a remap every round. The name is OS-generated
         # (guaranteed collision-free, unlike anything derived from
@@ -638,12 +697,15 @@ class ProcessPoolClientExecutor(ClientExecutor):
             self._arena = None
             self._arena_name = None
 
-    def _write_arena(self, masks_blob: bytes, payload) -> int:
-        """Write one broadcast (masks blob + packed payload) into the
-        arena; returns the new round tag."""
+    def _publish(self, model, masks: MaskSet, key: object) -> int:
+        """Write one broadcast into the arena; returns its round tag.
+
+        One write per broadcast: the packed payload plus the bit-packed
+        masks, which workers deserialize only when ``key`` changes.
+        """
+        masks_blob, payload = self._bcast.publish(model, masks, key)
         body_offset = _arena_payload_offset(len(masks_blob))
-        total = body_offset + payload.wire_nbytes
-        arena = self._ensure_arena(total)
+        arena = self._ensure_arena(body_offset + payload.wire_nbytes)
         _ARENA_HEADER.pack_into(
             arena.buf, 0, len(masks_blob), payload.wire_nbytes
         )
@@ -652,30 +714,6 @@ class ProcessPoolClientExecutor(ClientExecutor):
         payload.write_into(arena.buf, body_offset)
         self._round_tag += 1
         return self._round_tag
-
-    def _publish_broadcast(self, ctx: "FederatedContext") -> int:
-        """Pack the global state into the arena; returns the round tag.
-
-        One write per round: the packed payload plus the bit-packed mask
-        structure (workers deserialize masks only when the server's mask
-        epoch changes).
-        """
-        masks_blob, payload = self._bcast.publish(ctx.server)
-        return self._write_arena(masks_blob, payload)
-
-    def _publish_candidate(
-        self, ctx: "FederatedContext", masks: MaskSet
-    ) -> int:
-        """Write the candidate currently in ``ctx.model`` into the arena.
-
-        Selection broadcasts reuse the training arena verbatim (packed
-        state + bit-packed masks); they never touch the master's
-        per-mask-epoch training caches, and the next training round's
-        publish rewrites the arena in full anyway.
-        """
-        return self._write_arena(
-            _pack_masks_blob(masks), pack_model_state(ctx.model, masks)
-        )
 
     # -- round ---------------------------------------------------------
     def run_clients(
@@ -690,12 +728,13 @@ class ProcessPoolClientExecutor(ClientExecutor):
             return []
         clients = list(participants)
         # Keep the master model in sync with the broadcast, exactly as
-        # the serial backend leaves it after a round's downloads.
+        # the serial backend leaves it after a round's downloads; the
+        # broadcast is packed from it.
         ctx.server.load_into_model()
         kwargs = _train_kwargs(ctx)
         pool = self._ensure_pool(ctx)
-        round_tag = self._publish_broadcast(ctx)
         mask_epoch = ctx.server.mask_epoch
+        round_tag = self._publish(ctx.model, ctx.server.masks, mask_epoch)
         futures = [
             pool.submit(
                 _train_client_shm,
@@ -708,36 +747,20 @@ class ProcessPoolClientExecutor(ClientExecutor):
             )
             for client in clients
         ]
-        results: list[LocalTrainResult | None] = []
-        for position, client in enumerate(clients):
-            blob, num_samples, num_iterations, mean_loss, rng_state = (
-                futures[position].result()
-            )
-            futures[position] = None  # the blob lives on in the upload
-            # The worker trained a cached copy of the client; pull its
-            # advanced RNG back so future rounds draw the same batches
-            # the serial backend would.
-            client.rng.bit_generator.state = rng_state
-            # Trusted same-run producer; the blob backs the payload's
-            # buffer zero-copy for as long as the result holds it. The
-            # dense state dict is decoded lazily (resolve_state), so a
-            # packed fold never materializes it.
-            upload = PackedPayload.from_bytes(
-                blob, copy=False, validate=False,
-                spec_cache=self._bcast.spec_cache,
-            )
-            result = LocalTrainResult(
-                state=None,
-                num_samples=num_samples,
-                num_iterations=num_iterations,
-                mean_loss=mean_loss,
-                payload=upload,
-            )
-            if on_upload is not None:
-                on_upload(position, result)
-                result.payload = None
-            results.append(result)
-        return results
+
+        def uploads():
+            for position, future in enumerate(futures):
+                wire, *stats = future.result()
+                futures[position] = None  # the wire lives on in the upload
+                # Trusted same-run producer; the wire backs the payload
+                # zero-copy, and the dense state is decoded lazily
+                # (resolve_state), so a packed fold never builds it.
+                yield (PackedPayload.from_bytes(
+                    wire, copy=False, validate=False,
+                    spec_cache=self._bcast.spec_cache,
+                ), *stats)
+
+        return _deliver(clients, uploads(), on_upload)
 
     def run_selection(
         self,
@@ -759,7 +782,9 @@ class ProcessPoolClientExecutor(ClientExecutor):
             # buffers (exactly what the serial path installs into the
             # shared model) instead of pickling them into every task.
             set_bn_statistics(ctx.model, selection.bn_stats)
-        round_tag = self._publish_candidate(ctx, selection.masks)
+        round_tag = self._publish(
+            ctx.model, selection.masks, selection.mask_token
+        )
         futures = [
             pool.submit(
                 _selection_pass_shm,
@@ -814,32 +839,6 @@ class ProcessPoolClientExecutor(ClientExecutor):
 # ----------------------------------------------------------------------
 # Networked executor: real sockets, heartbeat liveness, reconnect/resume
 # ----------------------------------------------------------------------
-def _install_network_broadcast(
-    cache: dict, model, meta: dict, payload_bytes: bytes
-) -> None:
-    """Install one round's pulled broadcast into the worker's model.
-
-    Mirrors ``_worker_refresh_broadcast`` for bytes that arrived over a
-    socket instead of a shared-memory arena: masks re-deserialize only
-    when the mask epoch changed, the payload views are zero-copy over
-    the received buffer, and the binding scatters active entries only.
-    """
-    mask_epoch = meta["mask_epoch"]
-    epoch_changed = cache["mask_epoch"] != mask_epoch
-    if epoch_changed:
-        masks = _unpack_masks_blob(meta["masks_blob"])
-        masks.apply(model)
-        cache["masks"] = masks
-        cache["indices"] = build_mask_indices(masks)
-        cache["mask_epoch"] = mask_epoch
-    payload = PackedPayload.from_bytes(payload_bytes, copy=False)
-    if epoch_changed or cache["binding"] is None \
-            or cache["binding"].specs != payload.specs:
-        cache["binding"] = ModelBinding(model, payload.specs)
-    cache["payload"] = payload
-    cache["round_tag"] = meta["round_tag"]
-
-
 def _network_worker_main(
     address: tuple[str, int],
     worker_id: int,
@@ -849,29 +848,20 @@ def _network_worker_main(
 ) -> None:
     """Entry point of one networked worker process.
 
-    Registers with the round server, heartbeats on a daemon thread,
-    polls for tasks, pulls the packed broadcast when the round changes,
-    materializes the assigned client from the shipped directory, trains,
-    and pushes the packed upload. Failure behavior: every exchange goes
-    through :class:`~repro.fl.transport.WorkerConnection`, which
-    reconnects and resumes the session with bounded backoff; if the
-    server stays unreachable past the reconnect budget the worker logs
-    and exits — the server reassigns its task.
+    The transport loop around :class:`_WorkerRuntime`: registers with
+    the round server, heartbeats on a daemon thread, polls for tasks,
+    pulls the broadcast when the round changes, and pushes each packed
+    upload. Failure behavior: every exchange goes through
+    :class:`~repro.fl.transport.WorkerConnection`, which reconnects and
+    resumes the session with bounded backoff; if the server stays
+    unreachable past the reconnect budget the worker logs and exits —
+    the server reassigns its task.
     """
     import threading
 
     from .transport import MSG, TransportError, WorkerConnection
 
-    directory: "ClientDirectory" = pickle.loads(directory_blob)
-    model = pickle.loads(model_blob)
-    cache: dict = {
-        "round_tag": None,
-        "mask_epoch": None,
-        "masks": None,
-        "indices": None,
-        "binding": None,
-        "payload": None,
-    }
+    runtime = _WorkerRuntime(directory_blob, model_blob)
     conn = WorkerConnection(address, worker_id, transport)
     stop = threading.Event()
 
@@ -905,7 +895,7 @@ def _network_worker_main(
                 raise TransportError(
                     f"GET_TASK answered with message type {kind}"
                 )
-            if cache["round_tag"] != meta["round_tag"]:
+            if runtime.round_tag != meta["round_tag"]:
                 bkind, bmeta, bblob = conn.request(
                     MSG.GET_BROADCAST, {"round_tag": meta["round_tag"]}
                 )
@@ -917,30 +907,25 @@ def _network_worker_main(
                         meta["round_tag"], bkind,
                     )
                     continue
-                _install_network_broadcast(cache, model, bmeta, bblob)
-            # Per-task "download": reset the model to the broadcast
-            # bytes (a second task in the same round must not see the
-            # previous task's trained weights).
-            cache["binding"].restore(cache["payload"], assume_masked=True)
-            client = directory.materialize(int(meta["client_id"]))
-            # The master's stream is authoritative; install it so batch
-            # draws match serial execution bit-for-bit.
-            client.rng.bit_generator.state = meta["rng_state"]
-            result = client.train(
-                model, collect_state=False, **meta["kwargs"]
+                runtime.install(
+                    bmeta["round_tag"], bmeta["mask_epoch"],
+                    bmeta["masks_blob"], bblob,
+                )
+            wire, num_samples, num_iterations, mean_loss, rng_state = (
+                runtime.train(
+                    int(meta["client_id"]), meta["rng_state"],
+                    meta["kwargs"],
+                )
             )
-            wire = cache["binding"].pack(
-                indices=cache["indices"]
-            ).to_wire()
             _, ack, _ = conn.request(MSG.UPLOAD, {
                 "client_id": meta["client_id"],
                 "round_tag": meta["round_tag"],
                 "attempt": meta["attempt"],
-                "mask_epoch": cache["mask_epoch"],
-                "num_samples": result.num_samples,
-                "num_iterations": result.num_iterations,
-                "mean_loss": result.mean_loss,
-                "rng_state": client.rng.bit_generator.state,
+                "mask_epoch": runtime.mask_key,
+                "num_samples": num_samples,
+                "num_iterations": num_iterations,
+                "mean_loss": mean_loss,
+                "rng_state": rng_state,
             }, blob=wire)
             status = ack.get("status")
             if status not in ("accepted", "duplicate", "stale_round"):
@@ -1085,11 +1070,14 @@ class NetworkClientExecutor(ClientExecutor):
             return []
         clients = list(participants)
         # Keep the master model in sync with the broadcast, exactly as
-        # the serial backend leaves it after a round's downloads.
+        # the serial backend leaves it after a round's downloads; the
+        # broadcast is packed from it.
         ctx.server.load_into_model()
         server = self._ensure_started(ctx)
         kwargs = _train_kwargs(ctx)
-        masks_blob, payload = self._bcast.publish(ctx.server)
+        masks_blob, payload = self._bcast.publish(
+            ctx.model, ctx.server.masks, ctx.server.mask_epoch
+        )
         self._round_tag += 1
         ingest = ctx.server.begin_ingest(self._round_tag)
         tasks = [
@@ -1113,27 +1101,17 @@ class NetworkClientExecutor(ClientExecutor):
         # ``drain_records``; counters the chaos invariants compare stay
         # with the deterministic fault runner.
         self._records.extend(ingest.records)
-        results: list[LocalTrainResult | None] = []
-        for position, client in enumerate(clients):
-            meta = metas.get(client.client_id)
-            if meta is None:
-                results.append(None)
-                continue
-            # The worker trained a remote copy; pull the advanced RNG
-            # back so future rounds draw serial-identical batches.
-            client.rng.bit_generator.state = meta["rng_state"]
-            result = LocalTrainResult(
-                state=None,
-                num_samples=int(meta["num_samples"]),
-                num_iterations=int(meta["num_iterations"]),
-                mean_loss=float(meta["mean_loss"]),
-                payload=ingest.accepted_payload(client.client_id),
-            )
-            if on_upload is not None:
-                on_upload(position, result)
-                result.payload = None
-            results.append(result)
-        return results
+
+        def uploads():
+            for client in clients:
+                meta = metas.get(client.client_id)
+                yield None if meta is None else (
+                    ingest.accepted_payload(client.client_id),
+                    meta["num_samples"], meta["num_iterations"],
+                    meta["mean_loss"], meta["rng_state"],
+                )
+
+        return _deliver(clients, uploads(), on_upload)
 
     def drain_records(self) -> list:
         """Transport-level failure records since the last drain."""
@@ -1214,7 +1192,9 @@ def register_executor(
 ) -> None:
     """Register an executor factory under ``name`` (case-insensitive).
 
-    The factory is called as ``factory(max_workers=...)``.
+    The factory is called as ``factory(max_workers=..., transport=...)``
+    — the :class:`ClientExecutor` constructor, which every subclass
+    inherits or overrides.
     """
     key = name.lower()
     if key in _EXECUTORS:
@@ -1234,34 +1214,15 @@ def build_executor(
 ) -> ClientExecutor:
     """Build a registered execution backend by name.
 
-    ``transport`` (the networked backend's timeout/heartbeat/reconnect
-    knobs) is forwarded only to factories that declare the parameter, so
-    registered custom factories with the historical
-    ``factory(max_workers=...)`` signature keep working.
+    ``transport`` carries the networked backend's timeout, heartbeat
+    and reconnect knobs; the other backends ignore it.
     """
     key = name.lower()
     if key not in _EXECUTORS:
         raise KeyError(
             f"unknown executor {name!r}; available: {available_executors()}"
         )
-    factory = _EXECUTORS[key]
-    kwargs: dict = {"max_workers": max_workers}
-    if transport is not None:
-        import inspect
-
-        try:
-            params = inspect.signature(factory).parameters
-        # repro-lint: allow[silent-except] -- capability probe: a
-        # factory whose signature cannot be introspected just doesn't
-        # receive the optional transport kwarg.
-        except (TypeError, ValueError):  # pragma: no cover - builtins
-            params = {}
-        if "transport" in params or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in params.values()
-        ):
-            kwargs["transport"] = transport
-    return factory(**kwargs)
+    return _EXECUTORS[key](max_workers=max_workers, transport=transport)
 
 
 register_executor("serial", SerialExecutor)

@@ -31,6 +31,13 @@ be zero, section lengths), the pickled spec table, then the buffer.
 :meth:`PackedPayload.from_bytes` rejects anything else with
 :class:`PayloadFormatError`, so the server's ingest can quarantine
 malformed uploads before they reach the aggregation.
+
+:class:`ModelBinding` is the one persistent packer: it binds a spec
+layout to a model once and then restores or packs that model with
+tight per-tensor copies. The master packs every worker broadcast
+through one, and each executor worker restores the broadcast and packs
+its upload through its own. :func:`pack_state` packs a plain state dict
+once.
 """
 
 from __future__ import annotations
@@ -51,7 +58,6 @@ __all__ = [
     "TensorSpec",
     "PackedPayload",
     "ModelBinding",
-    "StatePacker",
     "build_mask_indices",
     "pack_state",
     "pack_model_state",
@@ -410,31 +416,6 @@ def _write_segment(
         np.copyto(values, flat)
 
 
-def _pack(
-    items: list[tuple[str, tuple[int, ...], np.ndarray]],
-    masks: MaskSet,
-    indices: dict[str, np.ndarray] | None,
-) -> PackedPayload:
-    entries = []
-    for name, shape, _ in items:
-        active = masks.layer_active(name) if name in masks else None
-        entries.append((name, shape, active))
-    specs, total = _plan(entries)
-    buffer = np.empty(total, dtype=np.uint8)
-    for spec, (name, _, array) in zip(specs, items):
-        flat = np.ascontiguousarray(array, dtype=np.float32).reshape(-1)
-        idx = None
-        if spec.encoding == "sparse":
-            if indices is not None and name in indices:
-                idx = indices[name]
-            else:
-                idx = np.flatnonzero(
-                    np.asarray(masks[name]).reshape(-1)
-                ).astype(np.int32)
-        _write_segment(buffer, spec, flat, idx)
-    return PackedPayload(specs, buffer)
-
-
 def pack_state(
     state: dict[str, np.ndarray],
     masks: MaskSet,
@@ -445,10 +426,24 @@ def pack_state(
     ``indices`` supplies precomputed active-index arrays (see
     :func:`build_mask_indices`).
     """
-    items = [
-        (name, tuple(value.shape), value) for name, value in state.items()
-    ]
-    return _pack(items, masks, indices)
+    specs, total = _plan([
+        (name, tuple(value.shape),
+         masks.layer_active(name) if name in masks else None)
+        for name, value in state.items()
+    ])
+    buffer = np.empty(total, dtype=np.uint8)
+    for spec, value in zip(specs, state.values()):
+        flat = np.ascontiguousarray(value, dtype=np.float32).reshape(-1)
+        idx = None
+        if spec.encoding == "sparse":
+            if indices is not None and spec.name in indices:
+                idx = indices[spec.name]
+            else:
+                idx = np.flatnonzero(
+                    np.asarray(masks[spec.name]).reshape(-1)
+                ).astype(np.int32)
+        _write_segment(buffer, spec, flat, idx)
+    return PackedPayload(specs, buffer)
 
 
 def pack_model_state(
@@ -460,17 +455,11 @@ def pack_model_state(
 
     Produces the same keys :func:`repro.fl.state.get_state` would
     (buffers prefixed with ``buffer::``), gathering straight from
-    ``Parameter.data`` so no intermediate per-tensor copies are made.
+    ``Parameter.data`` through a one-off :class:`ModelBinding`.
     """
-    items = [
-        (name, param.shape, param.data)
-        for name, param in model.named_parameters()
-    ]
-    items += [
-        (BUFFER_PREFIX + name, tuple(buf.shape), buf)
-        for name, buf in model.named_buffers()
-    ]
-    return _pack(items, masks, indices)
+    if indices is None:
+        indices = build_mask_indices(masks)
+    return ModelBinding.for_masks(model, masks).pack(indices=indices)
 
 
 # ----------------------------------------------------------------------
@@ -510,12 +499,12 @@ def unpack_state(
 class ModelBinding:
     """Resolved pack/restore targets for one spec layout on one model.
 
-    The executor's worker loop restores (and re-packs) the same cached
-    model against the same spec layout many times per round; resolving
-    parameter and buffer targets through the module tree on every call
-    would dominate the transport time for small models. A binding walks
-    the tree once, checks every shape once, and then moves values
-    through tight per-spec loops.
+    Executors restore and re-pack the same model against the same spec
+    layout many times per round (the master once per broadcast, each
+    worker once per task); resolving parameter and buffer targets
+    through the module tree on every call would dominate the transport
+    time for small models. A binding walks the tree once, checks every
+    shape once, and then moves values through tight per-spec loops.
 
     Parameter storage is re-read through ``Parameter.data`` at call time
     (mask application replaces the underlying arrays), and buffers
@@ -569,6 +558,20 @@ class ModelBinding:
             self._entries.append(entry)
             total += spec.nbytes
         self.nbytes = total
+
+    @classmethod
+    def for_masks(cls, model: Module, masks: MaskSet) -> "ModelBinding":
+        """A binding for the layout that packs ``model`` under ``masks``."""
+        entries = [
+            (name, param.shape,
+             masks.layer_active(name) if name in masks else None)
+            for name, param in model.named_parameters()
+        ]
+        entries += [
+            (BUFFER_PREFIX + name, tuple(buf.shape), None)
+            for name, buf in model.named_buffers()
+        ]
+        return cls(model, _plan(entries)[0])
 
     @staticmethod
     def _target(owner, attr) -> np.ndarray:
@@ -678,52 +681,6 @@ class ModelBinding:
             else:
                 np.take(flat, idx, out=val_view)
         return self._pack_payload
-
-
-class StatePacker:
-    """Persistent packer for one state-dict layout (server broadcast).
-
-    The server packs the same state layout against the same masks every
-    round of a mask epoch; planning the specs, serializing the header,
-    and allocating the buffer once — then only refreshing the value
-    segments per round — makes the steady-state broadcast a pure gather.
-    The returned payload's buffer is reused: serialize or copy it before
-    the next :meth:`pack` call.
-    """
-
-    def __init__(
-        self,
-        template: dict[str, np.ndarray],
-        masks: MaskSet,
-        indices: dict[str, np.ndarray] | None = None,
-    ) -> None:
-        payload = pack_state(template, masks, indices=indices)
-        self.specs = payload.specs
-        self._payload = payload
-        self._views: list = []
-        if indices is None:
-            indices = build_mask_indices(masks)
-        for spec in payload.specs:
-            idx = indices[spec.name] if spec.encoding == "sparse" else None
-            self._views.append(
-                (spec.name, spec.size, payload.values_view(spec), idx)
-            )
-
-    def pack(self, state: dict[str, np.ndarray]) -> PackedPayload:
-        """Refresh the value segments from ``state`` (layout-checked)."""
-        for name, size, view, idx in self._views:
-            value = state[name]
-            if value.size != size or value.dtype != np.float32:
-                raise ValueError(
-                    f"state tensor {name!r} does not match the packed "
-                    f"layout"
-                )
-            flat = value.reshape(-1)
-            if idx is None:
-                np.copyto(view, flat)
-            else:
-                np.take(flat, idx, out=view)
-        return self._payload
 
 
 def unpack_into_model(

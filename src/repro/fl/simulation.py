@@ -185,16 +185,7 @@ class FLConfig:
             raise ValueError("staleness_discount must be in (0, 1]")
         if self.faults is not None:
             FaultSchedule.parse(self.faults)  # raises on malformed specs
-        if self.retry_max_attempts < 1:
-            raise ValueError("retry_max_attempts must be >= 1")
-        if self.retry_backoff_seconds < 0.0:
-            raise ValueError("retry_backoff_seconds must be >= 0")
-        if self.retry_backoff_factor < 1.0:
-            raise ValueError("retry_backoff_factor must be >= 1")
-        if self.retry_timeout_seconds < 0.0:
-            raise ValueError("retry_timeout_seconds must be >= 0")
-        if self.pool_failure_limit < 1:
-            raise ValueError("pool_failure_limit must be >= 1")
+        self.retry_policy()  # raises on malformed retry knobs
         self.transport_config()  # raises on malformed transport knobs
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -207,6 +198,16 @@ class FLConfig:
             raise ValueError(
                 "checkpointing does not support round_policy='async'"
             )
+
+    def retry_policy(self) -> RetryPolicy:
+        """The fault runner's retry knobs as one object."""
+        return RetryPolicy(
+            max_attempts=self.retry_max_attempts,
+            backoff_seconds=self.retry_backoff_seconds,
+            backoff_factor=self.retry_backoff_factor,
+            timeout_seconds=self.retry_timeout_seconds,
+            pool_failure_limit=self.pool_failure_limit,
+        )
 
     def transport_config(self) -> TransportConfig:
         """The networked executor's transport knobs as one object."""
@@ -317,13 +318,7 @@ class FederatedContext:
         # Fault tolerance: the schedule/runner exist only when faults
         # are enabled, so the fault-free round loop takes the exact
         # code path (and RNG consumption) it always did.
-        self.retry_policy = RetryPolicy(
-            max_attempts=config.retry_max_attempts,
-            backoff_seconds=config.retry_backoff_seconds,
-            backoff_factor=config.retry_backoff_factor,
-            timeout_seconds=config.retry_timeout_seconds,
-            pool_failure_limit=config.pool_failure_limit,
-        )
+        self.retry_policy = config.retry_policy()
         self.fault_schedule: FaultSchedule | None = (
             FaultSchedule.parse(config.faults, seed=config.seed)
             if config.faults is not None else None
@@ -334,10 +329,9 @@ class FederatedContext:
             )
             if self.fault_schedule is not None else None
         )
-        # Full structured failure log for the run, plus the deltas not
-        # yet folded into a round record (same discipline as the comm
-        # counters: record_round drains them).
-        self.failure_log: list[FailureRecord] = []
+        # Failure records not yet folded into a round record (same
+        # discipline as the comm counters: record_round drains them
+        # into RunResult.failures).
         self._failures_since_record: list[FailureRecord] = []
         self._fault_stats_since_record = RoundFaultStats()
         self._round_counter = 0
@@ -524,7 +518,7 @@ class FederatedContext:
                     self._round_counter,
                 )
             self.real_time_seconds += time.perf_counter() - train_started
-            self._log_failures(outcome.records)
+            self._failures_since_record.extend(outcome.records)
             self._fault_stats_since_record.merge(outcome.stats)
             drain = getattr(self.executor, "drain_records", None)
             if drain is not None:
@@ -533,7 +527,7 @@ class FederatedContext:
                 # failure log; the deterministic fault counters are
                 # untouched, so chaos accounting still compares across
                 # executors.
-                self._log_failures(drain())
+                self._failures_since_record.extend(drain())
             trained_ids = trained.ids
             results = outcome.results
             if outcome.excluded:
@@ -598,10 +592,6 @@ class FederatedContext:
             elapsed_seconds=elapsed,
         )
         return fold.states if fold is not None else []
-
-    def _log_failures(self, records: list[FailureRecord]) -> None:
-        self.failure_log.extend(records)
-        self._failures_since_record.extend(records)
 
     def model_exchange_bytes(self) -> int:
         """Bytes to move the current sparse model one way (float32).
@@ -787,7 +777,6 @@ class FederatedContext:
                 self._recorded_upload, self._recorded_download
             ),
             "dropped_since_record": self._dropped_since_record,
-            "failure_log": list(self.failure_log),
             "failures_since_record": list(self._failures_since_record),
             "fault_stats_since_record": (
                 stats.injected, stats.retries,
@@ -866,7 +855,6 @@ class FederatedContext:
         self._recorded_upload, self._recorded_download = (
             int(v) for v in meta["recorded_comm"]
         )
-        self.failure_log = list(meta["failure_log"])
         self._failures_since_record = list(
             meta["failures_since_record"]
         )

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from ..fl.aggregation import HierarchicalAggregator, weighted_average_states
-from ..fl.payload import ModelBinding, PackedPayload, StatePacker, \
+from ..fl.payload import ModelBinding, PackedPayload, \
     build_mask_indices, pack_state
 from ..fl.state import get_state
 from ..nn.models import build_model
@@ -132,15 +132,13 @@ class _Cell:
         ]
         # The persistent worker-side model the packed broadcast restores
         # into (the shm executor caches one of these per worker), plus
-        # the cached target binding and a worker-style upload binding.
+        # the cached target binding and a worker-style upload binding,
+        # and the master's broadcast binding over the global model.
         self.worker_model = pickle.loads(
             pickle.dumps(self.model, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        template = pack_state(self.state, self.masks, indices=self.indices)
-        self.binding = ModelBinding(self.worker_model, template.specs)
-        self.packer = StatePacker(
-            self.state, self.masks, indices=self.indices
-        )
+        self.master = ModelBinding.for_masks(self.model, self.masks)
+        self.binding = ModelBinding(self.worker_model, self.master.specs)
         self.fold = HierarchicalAggregator(self.counts)
         self.spec_cache: dict = {}
         dense_cap = pack_state(self.state, MaskSet.dense(self.model))
@@ -170,7 +168,7 @@ class _Cell:
 
     # -- packed pipeline ----------------------------------------------
     def packed_broadcast(self) -> None:
-        payload = self.packer.pack(self.state)
+        payload = self.master.pack(indices=self.indices)
         length = payload.write_into(self.arena.buf)
         shared = PackedPayload.from_bytes(
             self.arena.buf[:length], copy=False, validate=False

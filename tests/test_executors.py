@@ -258,85 +258,149 @@ class TestWorkersSurviveMaskChanges:
 
 
 class TestWorkerRoundBodyInProcess:
-    """Drive the shm worker path in-process against a real arena.
+    """Drive the one worker body in-process.
 
-    The pool normally runs ``_train_client_shm`` in forked workers,
-    which coverage cannot see; calling it here (with the worker caches
-    initialized by hand) exercises the exact code path — arena attach,
-    mask deserialization, binding restore, packed upload — and checks
-    it against the serial reference.
+    Both worker backends run ``_WorkerRuntime`` in worker processes,
+    which coverage cannot see; calling it here exercises the exact code
+    paths (arena attach or frame install, mask deserialization, binding
+    restore, packed upload, selection pass) and checks them against the
+    serial reference.
     """
 
-    def test_worker_body_matches_serial_training(self):
-        import pickle
-
+    @pytest.fixture
+    def ctx(self):
         from repro.experiments import make_context, get_scale
-        from repro.fl import executor as ex
-        from repro.fl.payload import PackedPayload, unpack_state
 
         ctx, _ = make_context(
             "resnet18", "cifar10", get_scale("tiny"), seed=0
         )
+        yield ctx
+        ctx.close()
+
+    @staticmethod
+    def _serial_reference(ctx):
+        """Client 0's round-start RNG state and its serial training."""
+        from repro.fl import executor as ex
+
+        client = ctx.clients[0]
+        rng_state = client.rng.bit_generator.state
+        ctx.server.load_into_model()
+        reference = client.train(ctx.model, **ex._train_kwargs(ctx))
+        # Back to the broadcast, as a worker round leaves the master.
+        ctx.server.load_into_model()
+        return rng_state, reference
+
+    @staticmethod
+    def _arena_upload(ctx, rng_state, monkeypatch):
+        """Client 0's upload through the pool's arena path, twice."""
+        import pickle
+
+        from repro.fl import executor as ex
+
+        monkeypatch.setattr(ex, "_RUNTIME", None)
         pool_exec = ex.ProcessPoolClientExecutor(max_workers=1)
-        saved = {
-            "directory": ex._WORKER_DIRECTORY,
-            "model": ex._WORKER_MODEL,
-            "bcast": dict(ex._WORKER_BCAST),
-        }
         try:
-            # Serial reference for client 0.
-            client = ctx.clients[0]
-            rng_state = client.rng.bit_generator.state
-            ctx.server.load_into_model()
-            reference = client.train(
-                ctx.model, **ex._train_kwargs(ctx)
-            )
-            # Worker-side caches, as _init_worker would build them.
+            # The worker's runtime, as the pool initializer builds it.
             ex._init_worker(
                 pickle.dumps(ctx.directory), pickle.dumps(ctx.model)
             )
-            ctx.server.load_into_model()
-            round_tag = pool_exec._publish_broadcast(ctx)
-            blob, num_samples, num_iterations, mean_loss, new_rng = (
-                ex._train_client_shm(
-                    pool_exec._arena_name,
-                    round_tag,
-                    ctx.server.mask_epoch,
-                    0,
-                    rng_state,
-                    ex._train_kwargs(ctx),
-                )
+            epoch = ctx.server.mask_epoch
+            round_tag = pool_exec._publish(
+                ctx.model, ctx.server.masks, epoch
             )
-            state = unpack_state(PackedPayload.from_bytes(blob))
-            assert num_samples == reference.num_samples
-            assert num_iterations == reference.num_iterations
-            assert mean_loss == reference.mean_loss
-            for name, value in reference.state.items():
-                assert np.array_equal(state[name], value), name
-            # Same round again: the cached arena mapping must be reused
-            # and produce the identical upload.
-            blob2, *_ = ex._train_client_shm(
-                pool_exec._arena_name,
-                round_tag,
-                ctx.server.mask_epoch,
-                0,
-                rng_state,
+            args = (
+                pool_exec._arena_name, round_tag, epoch, 0, rng_state,
                 ex._train_kwargs(ctx),
             )
-            assert bytes(blob2) == bytes(blob)
+            first = ex._train_client_shm(*args)
+            # Same round again: the installed broadcast is reused and
+            # gives the identical upload.
+            again = ex._train_client_shm(*args)
+            assert bytes(again[0]) == bytes(first[0])
+            return first
         finally:
-            cache = ex._WORKER_BCAST
-            if cache.get("binding") is not None:
-                cache["binding"].release()
-            cache["payload"] = None
-            if cache.get("shm") is not None:
-                cache["shm"].close()
-            ex._WORKER_DIRECTORY = saved["directory"]
-            ex._WORKER_MODEL = saved["model"]
-            ex._WORKER_BCAST.clear()
-            ex._WORKER_BCAST.update(saved["bcast"])
+            ex._RUNTIME.close()
             pool_exec.close()
-            ctx.close()
+
+    @staticmethod
+    def _assert_matches(upload, reference):
+        from repro.fl.payload import PackedPayload, unpack_state
+
+        wire, num_samples, num_iterations, mean_loss, _ = upload
+        state = unpack_state(PackedPayload.from_bytes(wire))
+        assert num_samples == reference.num_samples
+        assert num_iterations == reference.num_iterations
+        assert mean_loss == reference.mean_loss
+        for name, value in reference.state.items():
+            assert np.array_equal(state[name], value), name
+
+    def test_worker_body_matches_serial_training(self, ctx, monkeypatch):
+        rng_state, reference = self._serial_reference(ctx)
+        upload = self._arena_upload(ctx, rng_state, monkeypatch)
+        self._assert_matches(upload, reference)
+
+    def test_network_worker_body_matches_arena_and_serial(
+        self, ctx, monkeypatch
+    ):
+        import pickle
+
+        from repro.fl import executor as ex
+        from repro.fl.executor import SelectionPass, SerialExecutor
+
+        rng_state, reference = self._serial_reference(ctx)
+        arena_upload = self._arena_upload(ctx, rng_state, monkeypatch)
+        # What one BROADCAST frame carries: round tag, mask epoch, masks
+        # blob, and the payload's wire bytes.
+        packer = ex._BroadcastPacker()
+        epoch = ctx.server.mask_epoch
+        masks_blob, payload = packer.publish(
+            ctx.model, ctx.server.masks, epoch
+        )
+        runtime = ex._WorkerRuntime(
+            pickle.dumps(ctx.directory), pickle.dumps(ctx.model)
+        )
+        try:
+            runtime.install(1, epoch, masks_blob, bytes(payload.to_wire()))
+            upload = runtime.train(0, rng_state, ex._train_kwargs(ctx))
+            assert bytes(upload[0]) == bytes(arena_upload[0])
+            assert upload[1:] == arena_upload[1:]
+            self._assert_matches(upload, reference)
+
+            # A selection pass on a candidate broadcast equals the
+            # in-process reference sweep.
+            clients = ctx.clients[:3]
+            token = ("selection", 0, 0)
+            for round_tag, kind in enumerate(("bn_stats", "dev_loss"), 2):
+                # The reference recalibrates the shared model's BN
+                # buffers; start each kind from the broadcast again.
+                ctx.server.load_into_model()
+                masks_blob, payload = packer.publish(
+                    ctx.model, ctx.server.masks, token
+                )
+                runtime.install(
+                    round_tag, token, masks_blob, bytes(payload.to_wire())
+                )
+                sweep = SelectionPass(
+                    kind=kind, batch_size=16, mask_token=token,
+                    masks=ctx.server.masks,
+                )
+                expected = SerialExecutor().run_selection(
+                    ctx, clients, sweep
+                )
+                got = [
+                    runtime.select(client.client_id, kind, 16)
+                    for client in clients
+                ]
+                if kind == "dev_loss":
+                    assert got == expected
+                    continue
+                for stats, want in zip(got, expected):
+                    assert stats.keys() == want.keys()
+                    for name, (mean, var) in want.items():
+                        assert np.array_equal(stats[name][0], mean), name
+                        assert np.array_equal(stats[name][1], var), name
+        finally:
+            runtime.close()
 
     def test_masks_blob_roundtrip(self):
         from repro.fl.executor import _pack_masks_blob, _unpack_masks_blob

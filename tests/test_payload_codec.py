@@ -11,7 +11,6 @@ from repro.fl.payload import (
     ModelBinding,
     PackedPayload,
     PayloadFormatError,
-    StatePacker,
     TensorSpec,
     build_mask_indices,
     pack_model_state,
@@ -332,28 +331,35 @@ class TestModelPaths:
             assert predicted == expected
 
 
-class TestStatePacker:
-    def test_repacks_match_pack_state(self):
+class TestModelBindingRepack:
+    def test_repack_after_inplace_change_matches_fresh_pack(self):
+        model = build_model("small_cnn", num_classes=10, seed=0)
         rng = np.random.default_rng(21)
-        state, masks = _random_state_and_masks(rng, [0.1, 0.5, 0.9, 0.3])
-        packer = StatePacker(state, masks)
-        # Mutate the state in place (as the server's commit does) and
-        # re-pack: the persistent buffer must track the new values.
-        for value in state.values():
-            value *= 2.0
-        repacked = packer.pack(state)
-        fresh = pack_state(state, masks)
-        assert repacked.specs == fresh.specs
-        assert (repacked.buffer == fresh.buffer).all()
-
-    def test_layout_mismatch_rejected(self):
-        rng = np.random.default_rng(22)
-        state, masks = _random_state_and_masks(rng, [0.2, 0.2, 0.2, 0.2])
-        packer = StatePacker(state, masks)
-        bad = dict(state)
-        bad["t0"] = np.zeros((2, 2), dtype=np.float32)
-        with pytest.raises(ValueError, match="does not match"):
-            packer.pack(bad)
+        densities = iter([0.1, 0.5, 0.9, 0.3, 0.05, 0.7])
+        masks = {}
+        for name, param in model.named_parameters():
+            if param.prunable:
+                mask = rng.random(param.shape) < next(densities, 0.2)
+                mask.reshape(-1)[0] = True
+                masks[name] = mask
+        mask_set = MaskSet(masks)
+        mask_set.apply(model)
+        indices = build_mask_indices(mask_set)
+        binding = ModelBinding.for_masks(model, mask_set)
+        binding.pack(indices=indices)
+        # Change the model in place (as a round's load_into_model does)
+        # and re-pack: the persistent buffer must track the new values.
+        for _, param in model.named_parameters():
+            param.data *= 2.0
+        for _, buf in model.named_buffers():
+            buf += 1.0
+        repacked = binding.pack(indices=indices)
+        for fresh in (
+            pack_model_state(model, mask_set),
+            pack_state(get_state(model), mask_set),
+        ):
+            assert repacked.specs == fresh.specs
+            assert (repacked.buffer == fresh.buffer).all()
 
     def test_binding_pack_requires_indices_for_sparse(self):
         model = build_model("small_cnn", num_classes=10, seed=0)
