@@ -152,9 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "late uploads")
     run.add_argument("--client-backend", default=None,
                      choices=("materialized", "virtual"),
-                     help="client population backend: 'virtual' keeps "
-                          "clients as IDs until selected (default: "
-                          "materialized)")
+                     help="client retention: 'materialized' builds "
+                          "every client up front and keeps it, 'virtual' "
+                          "builds a client when selected and drops it "
+                          "after its upload; both run the same bytes "
+                          "(default: materialized)")
     run.add_argument("--virtual-shard-size", type=int, default=None,
                      help="virtual backend: derive per-ID overlapping "
                           "shards of this size instead of an exact "

@@ -4,17 +4,16 @@ The paper partitions every dataset across K=10 devices with a Dirichlet
 distribution over class proportions (alpha = 0.5 by default, varied in
 Section IV-F). Lower alpha means more heterogeneous (non-iid) devices.
 
-Two consumption styles are supported:
+The simulation consumes a partition only as a plan:
+:func:`plan_partition` computes the exact partition once as index
+arrays (:class:`ListPartitionPlan`), :class:`VirtualShardPlan` derives
+overlapping shards per ID without computing anything up front, and the
+client directory (:mod:`repro.fl.fleet`) builds a client's shard from
+``(plan, client_id)`` when it builds the client.
 
-- :func:`partition_dataset` — the materialized path: every client's
-  shard is built up front as its own :class:`~repro.data.dataset.Dataset`
-  (image copies included). Memory is O(dataset) per shard list entry.
-- :func:`plan_partition` / :class:`PartitionPlan` — the lazy path used
-  by virtual client fleets: the partition is computed once as index
-  arrays (or, for :class:`VirtualShardPlan`, not computed at all), and a
-  client's shard is derived on demand from ``(plan, client_id)``.
-  Nothing proportional to the fleet size is materialized until a client
-  is actually selected.
+:func:`partition_dataset` is a convenience that builds every shard up
+front as its own :class:`~repro.data.dataset.Dataset` from the same
+plan. Tests use it as the reference the directory's shards must match.
 """
 
 from __future__ import annotations
@@ -149,10 +148,10 @@ class PartitionPlan(ABC):
 class ListPartitionPlan(PartitionPlan):
     """A plan wrapping precomputed per-client index arrays.
 
-    This is the lazy counterpart of :func:`partition_dataset` for the
-    exact (Dirichlet / iid) partitioners: the index arrays are O(total
-    samples) of int64 — tiny next to the image data — and the shard
-    ``Dataset`` copies are deferred until a client is materialized.
+    The plan of the exact (Dirichlet / iid) partitioners: the index
+    arrays are O(total samples) of int64 — tiny next to the image data
+    — and the shard ``Dataset`` copies are deferred until a client is
+    materialized.
     """
 
     def __init__(self, parts: list[np.ndarray]) -> None:
@@ -237,10 +236,11 @@ def plan_partition(
 ) -> ListPartitionPlan:
     """Compute the exact partition as a lazy :class:`ListPartitionPlan`.
 
-    Consumes ``rng`` exactly as :func:`partition_dataset` does, so a
-    virtual fleet built from this plan leaves the caller's RNG stream in
-    the same state as the materialized path — downstream draws (client
-    sampling, batch order) stay bitwise identical.
+    ``alpha=None`` gives an iid partition; otherwise a Dirichlet
+    partition with concentration ``alpha``. ``min_samples`` is the
+    per-client floor the Dirichlet partition resamples to satisfy
+    (ignored by the iid path, whose shards differ by at most one
+    sample).
     """
     if alpha is None:
         parts = iid_partition(len(dataset), num_clients, rng)
@@ -259,13 +259,10 @@ def partition_dataset(
     rng: np.random.Generator,
     min_samples: int = 2,
 ) -> list[Dataset]:
-    """Split a dataset into per-client shards.
+    """Split a dataset into per-client shards, all built up front.
 
-    ``alpha=None`` gives an iid partition; otherwise a Dirichlet
-    partition with concentration ``alpha``. ``min_samples`` is the
-    per-client floor the Dirichlet partition resamples to satisfy
-    (ignored by the iid path, whose shards differ by at most one
-    sample).
+    The shards of :func:`plan_partition` with the same arguments; the
+    two consume ``rng`` identically.
     """
     plan = plan_partition(
         dataset, num_clients, alpha, rng, min_samples=min_samples

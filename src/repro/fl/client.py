@@ -100,14 +100,6 @@ class Client:
         self._dev_batch_cache: dict[int, list] = {}
         self._eval_loss_fn: CrossEntropyLoss | None = None
 
-    def __getstate__(self) -> dict:
-        # Worker processes rebuild the (derived) caches locally; keeping
-        # them out of the pickle keeps pool start-up payloads lean.
-        state = self.__dict__.copy()
-        state["_dev_batch_cache"] = {}
-        state["_eval_loss_fn"] = None
-        return state
-
     @property
     def num_samples(self) -> int:
         return len(self.train_data)

@@ -29,10 +29,11 @@ built. Three backends ship built in:
   the budget comes back as ``None`` and the round reweights it out.
 
 The two worker backends differ only in transport; both run one worker
-body, :class:`_WorkerRuntime`. The pickled
-:class:`~repro.fl.fleet.ClientDirectory` and model structure ship once
-per worker, and a worker materializes only the clients it is assigned,
-so the ``virtual`` fleet backend works under both. Per round the
+body, :class:`_WorkerRuntime`. The
+:class:`~repro.fl.fleet.ClientDirectory`, pickled as its recipe, and
+the model structure ship once per worker, and a worker materializes
+only the clients it is assigned, so either client backend works under
+both. Per round the
 master's one publisher packs the broadcast sparse through a
 :class:`~repro.fl.payload.ModelBinding`; the worker installs it through
 zero-copy views, restores its model per task, installs the client RNG

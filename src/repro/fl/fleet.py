@@ -1,24 +1,21 @@
 """Client directory: a fleet addressed by ID, materialized on demand.
 
-The simulation used to build every :class:`~repro.fl.client.Client` up
-front — data shard, dev cache, RNG, device profile — so memory and
-setup cost were O(total clients). A :class:`ClientDirectory` inverts
-that: the fleet is a range of integer IDs, cohort sampling draws IDs,
-and :meth:`ClientDirectory.materialize` builds the client for an ID
-only when it is actually selected.
+The fleet is a range of integer IDs: cohort sampling draws IDs, and a
+round's timing reads each ID's shard size and device profile without
+building anything. A :class:`ClientDirectory` holds only the recipes —
+a :class:`~repro.data.partition.PartitionPlan` for shards and a
+:class:`~repro.fl.latency.FleetPlan` for device profiles — and
+:meth:`ClientDirectory.materialize` builds the
+:class:`~repro.fl.client.Client` for an ID deterministically from
+``(plan, seed, client_id)``.
 
-Two backends:
-
-- :class:`MaterializedDirectory` wraps the eager client list and keeps
-  the historical behavior (and the object identities the process-pool
-  executor keys its worker caches on).
-- :class:`VirtualClientDirectory` holds only the recipes — a
-  :class:`~repro.data.partition.PartitionPlan` for shards and a
-  :class:`~repro.fl.latency.FleetPlan` for device profiles — and builds
-  clients deterministically from ``(plan, seed, client_id)``. Releasing
-  a client saves its RNG state so a later re-materialization resumes
-  the exact random stream, keeping virtual runs bitwise identical to
-  materialized ones.
+The client backend (``FLConfig.client_backend``) chooses only
+retention. ``"materialized"`` builds every client with the directory
+and keeps them all; ``"virtual"`` builds a client when it is selected
+and drops it on :meth:`ClientDirectory.release`. Releasing a client
+saves its RNG state so a later re-materialization resumes the exact
+random stream, which keeps the two backends bitwise identical. Worker
+executors receive the directory pickled as its recipe.
 
 A round addresses its clients through a :class:`Cohort`: a sequence of
 clients that materializes each one only when an executor reaches it.
@@ -27,7 +24,6 @@ clients that materializes each one only when an executor reaches it.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
 from ..data.dataset import Dataset
@@ -38,8 +34,6 @@ from .latency import DeviceProfile, FleetPlan
 __all__ = [
     "ClientDirectory",
     "Cohort",
-    "MaterializedDirectory",
-    "VirtualClientDirectory",
     "cohort_size",
 ]
 
@@ -59,107 +53,18 @@ def cohort_size(fraction: float, num_clients: int) -> int:
     return max(1, math.ceil(fraction * num_clients))
 
 
-class ClientDirectory(ABC):
-    """The client population addressed by integer IDs ``0..n-1``."""
+class ClientDirectory:
+    """The client population addressed by integer IDs ``0..n-1``.
 
-    @property
-    @abstractmethod
-    def num_clients(self) -> int:
-        """Population size."""
-
-    @abstractmethod
-    def sample_count(self, client_id: int) -> int:
-        """Local dataset size of one client, without materializing it."""
-
-    @abstractmethod
-    def device_profile(self, client_id: int) -> DeviceProfile:
-        """Device profile of one client, without materializing it."""
-
-    @abstractmethod
-    def materialize(self, client_id: int) -> Client:
-        """The live :class:`Client` for an ID, built on first use."""
-
-    @abstractmethod
-    def release(self, client_id: int) -> None:
-        """Drop a client's live state (no-op for eager backends).
-
-        Deterministic state (the RNG stream position) survives the
-        release, so ``materialize`` after ``release`` resumes exactly
-        where the client left off.
-        """
-
-    @abstractmethod
-    def all_clients(self) -> list[Client]:
-        """Every client, materialized. O(population) — compatibility
-        surface for small fleets; huge virtual fleets must stay on the
-        ID-based API."""
-
-    def sample_counts(self) -> list[int]:
-        """Per-client dataset sizes, aligned with client IDs."""
-        return [
-            self.sample_count(i) for i in range(self.num_clients)
-        ]
-
-    @abstractmethod
-    def rng_snapshot(self) -> dict[int, dict]:
-        """Every client RNG stream position that differs from a fresh
-        build, keyed by client ID (checkpoint capture)."""
-
-    @abstractmethod
-    def restore_rng(self, states: dict[int, dict]) -> None:
-        """Install a :meth:`rng_snapshot` (checkpoint resume).
-
-        Clients absent from ``states`` keep their deterministic
-        fresh-build stream, which is exactly what the snapshot means
-        for clients that had never been touched when it was taken.
-        """
-
-
-class MaterializedDirectory(ClientDirectory):
-    """The eager backend: wraps a prebuilt client list."""
-
-    def __init__(self, clients: list[Client]) -> None:
-        if not clients:
-            raise ValueError("a directory needs at least one client")
-        self._clients = clients
-
-    @property
-    def num_clients(self) -> int:
-        return len(self._clients)
-
-    def sample_count(self, client_id: int) -> int:
-        return self._clients[client_id].num_samples
-
-    def device_profile(self, client_id: int) -> DeviceProfile:
-        return self._clients[client_id].device
-
-    def materialize(self, client_id: int) -> Client:
-        return self._clients[client_id]
-
-    def release(self, client_id: int) -> None:
-        # Eager clients are the authoritative state; never dropped.
-        return None
-
-    def all_clients(self) -> list[Client]:
-        # The same list object every call; worker-pool executors ship
-        # the directory itself and key their caches on its identity.
-        return self._clients
-
-    def rng_snapshot(self) -> dict[int, dict]:
-        return {
-            client.client_id: client.rng.bit_generator.state
-            for client in self._clients
-        }
-
-    def restore_rng(self, states: dict[int, dict]) -> None:
-        for client in self._clients:
-            saved = states.get(client.client_id)
-            if saved is not None:
-                client.rng.bit_generator.state = saved
-
-
-class VirtualClientDirectory(ClientDirectory):
-    """The lazy backend: clients are recipes until selected."""
+    Holds the recipe — the training set, a partition plan, a fleet plan,
+    the dev fraction and the seed — and builds the client for an ID on
+    :meth:`materialize`. ``retain=True`` builds every client up front
+    and keeps each one for the directory's lifetime (the
+    ``"materialized"`` client backend); otherwise a client lives from
+    :meth:`materialize` to :meth:`release` (``"virtual"``). Either way a
+    client's RNG stream is a pure function of its history, so both
+    retention choices run the same bytes.
+    """
 
     def __init__(
         self,
@@ -168,6 +73,7 @@ class VirtualClientDirectory(ClientDirectory):
         fleet: FleetPlan,
         dev_fraction: float = 0.1,
         seed: int = 0,
+        retain: bool = False,
     ) -> None:
         if fleet.num_devices != partition.num_clients:
             raise ValueError(
@@ -179,20 +85,27 @@ class VirtualClientDirectory(ClientDirectory):
         self._fleet = fleet
         self._dev_fraction = dev_fraction
         self._seed = seed
+        self._retain = retain
         self._live: dict[int, Client] = {}
         # RNG stream positions of released clients, so re-materialized
         # clients draw the same batch orders a permanently-live client
         # would have.
         self._rng_states: dict[int, dict] = {}
+        if retain:
+            for client_id in range(self.num_clients):
+                self.materialize(client_id)
 
     @property
     def num_clients(self) -> int:
+        """Population size."""
         return self._partition.num_clients
 
     def sample_count(self, client_id: int) -> int:
+        """Local dataset size of one client, without materializing it."""
         return self._partition.shard_size(client_id)
 
     def device_profile(self, client_id: int) -> DeviceProfile:
+        """Device profile of one client, without materializing it."""
         return self._fleet.profile(client_id)
 
     @property
@@ -201,9 +114,11 @@ class VirtualClientDirectory(ClientDirectory):
         return len(self._live)
 
     def sample_counts(self) -> list[int]:
+        """Per-client dataset sizes, aligned with client IDs."""
         return self._partition.sizes()
 
     def materialize(self, client_id: int) -> Client:
+        """The live :class:`Client` for an ID, built on first use."""
         client = self._live.get(client_id)
         if client is not None:
             return client
@@ -226,6 +141,14 @@ class VirtualClientDirectory(ClientDirectory):
         return client
 
     def release(self, client_id: int) -> None:
+        """Drop a client's live state (kept when the directory retains).
+
+        Deterministic state (the RNG stream position) survives the
+        release, so ``materialize`` after ``release`` resumes exactly
+        where the client left off.
+        """
+        if self._retain:
+            return
         client = self._live.pop(client_id, None)
         if client is not None:
             self._rng_states[client_id] = (
@@ -233,9 +156,14 @@ class VirtualClientDirectory(ClientDirectory):
             )
 
     def all_clients(self) -> list[Client]:
+        """Every client, materialized. O(population) — compatibility
+        surface for small fleets; huge virtual fleets must stay on the
+        ID-based API."""
         return [self.materialize(i) for i in range(self.num_clients)]
 
     def rng_snapshot(self) -> dict[int, dict]:
+        """Every client RNG stream position that differs from a fresh
+        build, keyed by client ID (checkpoint capture)."""
         # Released positions plus live clients; IDs never materialized
         # need no entry — a fresh build derives their stream from the
         # seed, bit-identically.
@@ -245,6 +173,12 @@ class VirtualClientDirectory(ClientDirectory):
         return snapshot
 
     def restore_rng(self, states: dict[int, dict]) -> None:
+        """Install a :meth:`rng_snapshot` (checkpoint resume).
+
+        Clients absent from ``states`` keep their deterministic
+        fresh-build stream, which is exactly what the snapshot means
+        for clients that had never been touched when it was taken.
+        """
         self._rng_states.update(states)
         for client_id, client in self._live.items():
             saved = states.get(client_id)
@@ -259,10 +193,7 @@ class VirtualClientDirectory(ClientDirectory):
         # pickled twin behave as if every client had been released, so
         # a worker-side materialize() resumes the same streams.
         state = self.__dict__.copy()
-        rng_states = dict(self._rng_states)
-        for client_id, client in self._live.items():
-            rng_states[client_id] = client.rng.bit_generator.state
-        state["_rng_states"] = rng_states
+        state["_rng_states"] = self.rng_snapshot()
         state["_live"] = {}
         return state
 

@@ -33,8 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.dataset import Dataset
-from ..data.partition import VirtualShardPlan, partition_dataset, \
-    plan_partition
+from ..data.partition import VirtualShardPlan, plan_partition
 from ..metrics.accuracy import evaluate
 from ..metrics.flops import ModelProfile, profile_model, \
     training_flops_per_sample
@@ -47,9 +46,8 @@ from .comm import CommTracker
 from .executor import available_executors, build_executor
 from .faults import FailureRecord, FaultSchedule, FaultTolerantRunner, \
     RetryPolicy, RoundFaultStats, RoundOutcome
-from .fleet import ClientDirectory, Cohort, MaterializedDirectory, \
-    VirtualClientDirectory, cohort_size
-from .latency import FleetPlan, build_fleet, parse_fleet_spec
+from .fleet import ClientDirectory, Cohort, cohort_size
+from .latency import FleetPlan, parse_fleet_spec
 from .payload import packed_nbytes
 from .policies import RoundInfo, RoundPlan, available_policies, \
     build_policy
@@ -81,12 +79,15 @@ class FLConfig:
     augment: bool = False
     executor: str = "serial"
     executor_workers: int | None = None
-    # Fleet-scale knobs: with the "virtual" backend clients exist as
-    # IDs until selected (see repro.fl.fleet). virtual_shard_size
-    # switches the partition to derived overlapping shards so the
-    # population can vastly exceed the dataset; aggregation_fan_in
-    # groups uploads under simulated edge aggregators;
-    # min_partition_samples is the Dirichlet per-client floor.
+    # Fleet-scale knobs (see repro.fl.fleet). client_backend chooses
+    # whether the client directory keeps released clients: "materialized"
+    # builds every client up front and keeps them, "virtual" builds a
+    # client when selected and drops it after its upload; both run the
+    # same bytes. virtual_shard_size switches the partition to derived
+    # overlapping shards so the population can vastly exceed the
+    # dataset; aggregation_fan_in groups uploads under simulated edge
+    # aggregators; min_partition_samples is the Dirichlet per-client
+    # floor.
     client_backend: str = "materialized"
     virtual_shard_size: int | None = None
     aggregation_fan_in: int | None = None
@@ -136,6 +137,10 @@ class FLConfig:
             raise ValueError("rounds must be >= 1")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
         if not 0.0 < self.dev_fraction <= 1.0:
             raise ValueError("dev_fraction must be in (0, 1]")
         if not 0.0 < self.participation_fraction <= 1.0:
@@ -238,58 +243,34 @@ class FederatedContext:
         self.comm = CommTracker()
         self.rng = np.random.default_rng(config.seed)
 
-        self.directory: ClientDirectory
-        if config.client_backend == "virtual":
-            if config.virtual_shard_size is not None:
-                # Derived overlapping shards: the population can exceed
-                # the dataset, and no per-client state exists up front.
-                plan = VirtualShardPlan(
-                    len(train_data),
-                    config.num_clients,
-                    config.virtual_shard_size,
-                    seed=config.seed,
-                )
-            else:
-                # Exact partition, computed as index arrays only; this
-                # consumes self.rng exactly like partition_dataset, so
-                # downstream draws match the materialized backend.
-                plan = plan_partition(
-                    train_data,
-                    config.num_clients,
-                    config.dirichlet_alpha,
-                    self.rng,
-                    min_samples=config.min_partition_samples,
-                )
-            self.directory = VirtualClientDirectory(
-                train_data,
-                plan,
-                FleetPlan(config.fleet, config.num_clients, config.seed),
-                dev_fraction=config.dev_fraction,
+        if config.virtual_shard_size is not None:
+            # Derived overlapping shards: the population can exceed the
+            # dataset, and no per-client state exists up front.
+            plan = VirtualShardPlan(
+                len(train_data),
+                config.num_clients,
+                config.virtual_shard_size,
                 seed=config.seed,
             )
         else:
-            shards = partition_dataset(
+            # The exact partition, computed as index arrays only. It is
+            # the context's first draw from self.rng, ahead of every
+            # cohort sample.
+            plan = plan_partition(
                 train_data,
                 config.num_clients,
                 config.dirichlet_alpha,
                 self.rng,
                 min_samples=config.min_partition_samples,
             )
-            fleet = build_fleet(
-                config.fleet, config.num_clients, config.seed
-            )
-            self.directory = MaterializedDirectory(
-                [
-                    Client(
-                        client_id=index,
-                        train_data=shard,
-                        dev_fraction=config.dev_fraction,
-                        seed=config.seed,
-                        device=fleet[index],
-                    )
-                    for index, shard in enumerate(shards)
-                ]
-            )
+        self.directory = ClientDirectory(
+            train_data,
+            plan,
+            FleetPlan(config.fleet, config.num_clients, config.seed),
+            dev_fraction=config.dev_fraction,
+            seed=config.seed,
+            retain=config.client_backend == "materialized",
+        )
         self.profile: ModelProfile = profile_model(
             model, train_data.image_shape
         )
@@ -360,7 +341,7 @@ class FederatedContext:
         if self._last_participants is None:
             ids = self._last_participant_ids
             self._last_participants = (
-                list(self.directory.all_clients()) if ids is None
+                self.directory.all_clients() if ids is None
                 else [self.directory.materialize(i) for i in ids]
             )
         return self._last_participants
@@ -377,34 +358,17 @@ class FederatedContext:
             target_density=target_density,
         )
 
-    def sample_participants(
-        self, fraction: float | None = None
-    ) -> list[Client]:
-        """Clients taking part in the next round.
-
-        With ``participation_fraction < 1`` a random subset (at least
-        one client) is drawn each round, as in standard FedAvg client
-        sampling; the selection is stored on ``last_participants`` so
-        mask-adjustment protocols query the same devices that trained.
-        ``fraction`` overrides the configured participation fraction
-        (round policies over-select through it).
-        """
-        return [
-            self.directory.materialize(client_id)
-            for client_id in self.sample_participant_ids(fraction)
-        ]
-
     def sample_participant_ids(
         self, fraction: float | None = None
     ) -> list[int]:
         """Sorted cohort IDs for the next round, no clients built.
 
-        The cohort size follows the explicit
-        :func:`~repro.fl.fleet.cohort_size` rule — ``max(1,
-        ceil(fraction * n))`` — shared with the materialized sampler
-        (the historical ``int(round(...))`` rule was banker's-rounded).
-        Full participation consumes no randomness, matching the
-        historical fast path.
+        With ``participation_fraction < 1`` a random subset is drawn
+        each round, as in standard FedAvg client sampling; its size
+        follows the explicit :func:`~repro.fl.fleet.cohort_size` rule,
+        ``max(1, ceil(fraction * n))``. ``fraction`` overrides the
+        configured participation fraction (round policies over-select
+        through it). Full participation consumes no randomness.
         """
         if fraction is None:
             fraction = self.config.participation_fraction
@@ -415,19 +379,14 @@ class FederatedContext:
         chosen = self.rng.choice(population, size=count, replace=False)
         return sorted(int(i) for i in chosen)
 
-    def participant_round_times(
-        self, participants: list[Client]
-    ) -> list[float]:
-        """Simulated seconds each participant needs for one round.
+    def round_times(self, client_ids: list[int]) -> list[float]:
+        """Simulated seconds each client needs for one round.
 
         Compute time comes from the method's per-sample training FLOPs
         at the current mask density; transfer time from the same byte
-        accounting the communication tracker charges.
+        accounting the communication tracker charges. Reads only the
+        directory's per-ID metadata, so no client is built.
         """
-        return self._round_times([c.client_id for c in participants])
-
-    def _round_times(self, client_ids: list[int]) -> list[float]:
-        """:meth:`participant_round_times` by ID, building no client."""
         flops_per_sample = training_flops_per_sample(
             self.profile, self.server.masks
         )
@@ -489,7 +448,7 @@ class FederatedContext:
         )
         self._round_counter += 1
         participants = policy.select(self)
-        times = self._round_times(participants)
+        times = self.round_times(participants)
         plan = policy.plan(self, participants, times)
         trained = Cohort(directory, [participants[i] for i in plan.trained])
         # Nothing can exclude a client once training starts: the fold's

@@ -130,11 +130,14 @@ def save_run_checkpoint(
     masks: dict[str, np.ndarray],
     meta: dict,
 ) -> None:
-    """Atomically write one run snapshot to a compressed ``.npz``.
+    """Atomically and durably write one run snapshot to a compressed
+    ``.npz``.
 
-    The archive is written to a sibling temp file and moved into place
-    with :func:`os.replace`, so a run killed *during* checkpointing
-    leaves the previous checkpoint intact instead of a torn file.
+    The archive is written to a sibling temp file, fsync'd, and moved
+    into place with :func:`os.replace`, so a run killed *during*
+    checkpointing leaves the previous checkpoint intact instead of a
+    torn file, and a power cut after the rename cannot leave an empty
+    one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -149,10 +152,11 @@ def save_run_checkpoint(
         pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL),
         dtype=np.uint8,
     )
-    # np.savez appends ".npz" unless the name already ends with it, so
-    # the temp name keeps the suffix to stay predictable.
     tmp = path.with_name(path.name + ".tmp.npz")
-    np.savez_compressed(tmp, **arrays)
+    with tmp.open("wb") as handle:
+        np.savez_compressed(handle, **arrays)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
 
 

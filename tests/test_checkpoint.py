@@ -1,9 +1,16 @@
 """Tests for model checkpointing."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.nn.checkpoint import load_model, save_model
+from repro.nn.checkpoint import (
+    load_model,
+    load_run_checkpoint,
+    save_model,
+    save_run_checkpoint,
+)
 from repro.nn.models import build_model
 from repro.pruning import magnitude_mask_uniform
 
@@ -78,3 +85,44 @@ class TestCheckpoint:
         np.savez_compressed(path, **{"fc.weight": model.fc.weight.data})
         with pytest.raises(KeyError):
             load_model(model, path)
+
+
+class TestRunCheckpointDurability:
+    def test_temp_file_is_fsynced_before_replace(
+        self, tmp_path, monkeypatch
+    ):
+        # A rename that reaches disk before the archive's bytes leaves
+        # an empty checkpoint after a power cut: the temp file must be
+        # fsync'd before it replaces the previous snapshot.
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, str(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "run.npz"
+        save_run_checkpoint(
+            path,
+            {"fc.weight": np.arange(6, dtype=np.float32)},
+            {"fc.weight": np.array([1, 0, 1, 1, 0, 1], dtype=bool)},
+            {"round_index": 3},
+        )
+        replaces = [e for e in events if e[0] == "replace"]
+        assert len(replaces) == 1
+        _, temp_inode, target = replaces[0]
+        assert target == str(path)
+        before = events[: events.index(replaces[0])]
+        assert ("fsync", temp_inode) in before
+        loaded = load_run_checkpoint(path)
+        assert loaded.round_index == 3
+        np.testing.assert_array_equal(
+            loaded.state["fc.weight"], np.arange(6, dtype=np.float32)
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.npz"]

@@ -221,3 +221,7 @@ class TestFederatedContext:
             FLConfig(rounds=0)
         with pytest.raises(ValueError):
             FLConfig(dev_fraction=0.0)
+        with pytest.raises(ValueError, match="eval_every"):
+            FLConfig(eval_every=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            FLConfig(batch_size=0)

@@ -20,12 +20,7 @@ from repro.fl.aggregation import (
     weighted_average_states,
 )
 from repro.fl.client import Client
-from repro.fl.fleet import (
-    Cohort,
-    MaterializedDirectory,
-    VirtualClientDirectory,
-    cohort_size,
-)
+from repro.fl.fleet import ClientDirectory, Cohort, cohort_size
 from repro.fl.latency import FleetPlan, build_fleet
 from repro.fl.payload import pack_state, unpack_state
 from repro.fl.policies import RoundPlan
@@ -286,24 +281,24 @@ class TestVirtualDirectory:
             train, num_clients, 0.5, np.random.default_rng(seed)
         )
         fleet = FleetPlan("heterogeneous:4", num_clients, seed=seed)
-        return VirtualClientDirectory(train, plan, fleet, seed=seed)
+        return ClientDirectory(train, plan, fleet, seed=seed)
 
     def test_matches_materialized_directory(self, tiny_dataset):
+        # The oracles build the whole fleet eagerly: every shard from
+        # partition_dataset, every profile from build_fleet.
         train, _ = tiny_dataset
         virtual = self._directory(train)
         shards = partition_dataset(train, 4, 0.5, np.random.default_rng(0))
         fleet = build_fleet("heterogeneous:4", 4, seed=0)
-        eager = MaterializedDirectory(
-            [
-                Client(i, shard, seed=0, device=profile)
-                for i, (shard, profile) in enumerate(zip(shards, fleet))
-            ]
-        )
-        assert virtual.num_clients == eager.num_clients == 4
-        assert virtual.sample_counts() == eager.sample_counts()
+        eager = [
+            Client(i, shard, seed=0, device=profile)
+            for i, (shard, profile) in enumerate(zip(shards, fleet))
+        ]
+        assert virtual.num_clients == len(eager) == 4
+        assert virtual.sample_counts() == [c.num_samples for c in eager]
         for i in range(4):
-            assert virtual.device_profile(i) == eager.device_profile(i)
-            a, b = virtual.materialize(i), eager.materialize(i)
+            assert virtual.device_profile(i) == eager[i].device
+            a, b = virtual.materialize(i), eager[i]
             assert a.num_samples == b.num_samples
             np.testing.assert_array_equal(
                 a.train_data.labels, b.train_data.labels
@@ -366,9 +361,7 @@ class TestVirtualDirectory:
         train, _ = tiny_dataset
         plan = plan_partition(train, 4, 0.5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="fleet"):
-            VirtualClientDirectory(
-                train, plan, FleetPlan("uniform", 5, seed=0)
-            )
+            ClientDirectory(train, plan, FleetPlan("uniform", 5, seed=0))
 
 
 # ----------------------------------------------------------------------
@@ -592,6 +585,20 @@ class TestBackendEquivalence:
         try:
             ctx.run_fedavg_round()
             assert ctx.directory.live_count == 0
+        finally:
+            ctx.close()
+
+    def test_materialized_backend_keeps_every_client(self, tiny_dataset):
+        # The default backend builds the whole fleet with the directory
+        # and never drops a client, in or after a round.
+        train, test = tiny_dataset
+        ctx = _make_ctx(train, test, "materialized", frac=0.6)
+        try:
+            assert ctx.directory.live_count == 6
+            before = ctx.clients
+            ctx.run_fedavg_round()
+            assert ctx.directory.live_count == 6
+            assert all(a is b for a, b in zip(before, ctx.clients))
         finally:
             ctx.close()
 

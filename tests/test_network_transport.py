@@ -496,8 +496,10 @@ class TestNetworkCheckpointResume:
 # Virtual clients under worker executors
 # ----------------------------------------------------------------------
 class TestVirtualBackendUnderWorkers:
-    def test_virtual_directory_pickles_as_recipe(self):
-        with _make_context(client_backend="virtual") as ctx:
+    @pytest.mark.parametrize("backend", ["materialized", "virtual"])
+    def test_virtual_directory_pickles_as_recipe(self, backend):
+        # Workers receive the recipe whichever clients the master keeps.
+        with _make_context(client_backend=backend) as ctx:
             directory = ctx.directory
             client = directory.materialize(0)
             client.rng.random(5)  # advance the stream past the prefix

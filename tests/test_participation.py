@@ -41,23 +41,22 @@ def _ctx(setup, participation=1.0, rounds=2, clients=6):
 class TestSampling:
     def test_full_participation_default(self, setup):
         ctx, _ = _ctx(setup)
-        assert ctx.sample_participants() == list(ctx.clients)
+        assert ctx.sample_participant_ids() == [
+            c.client_id for c in ctx.clients
+        ]
 
     def test_half_participation_size(self, setup):
         ctx, _ = _ctx(setup, participation=0.5)
-        participants = ctx.sample_participants()
+        participants = ctx.sample_participant_ids()
         assert len(participants) == 3
 
     def test_at_least_one_client(self, setup):
         ctx, _ = _ctx(setup, participation=0.01)
-        assert len(ctx.sample_participants()) == 1
+        assert len(ctx.sample_participant_ids()) == 1
 
     def test_sampling_varies_across_rounds(self, setup):
         ctx, _ = _ctx(setup, participation=0.5)
-        draws = {
-            tuple(c.client_id for c in ctx.sample_participants())
-            for _ in range(10)
-        }
+        draws = {tuple(ctx.sample_participant_ids()) for _ in range(10)}
         assert len(draws) > 1
 
     def test_round_trains_only_participants(self, setup):

@@ -301,7 +301,7 @@ class TestSimulatedRounds:
     def test_sync_clock_charges_slowest_device(self):
         ctx = self._context(fleet="heterogeneous:4")
         try:
-            times = ctx.participant_round_times(ctx.clients)
+            times = ctx.round_times(list(range(ctx.directory.num_clients)))
             ctx.run_fedavg_round()
             assert ctx.sim_time == pytest.approx(max(times))
         finally:
