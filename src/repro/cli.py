@@ -20,8 +20,9 @@ import os
 import sys
 
 from .data.synthetic import DATASET_BUILDERS
-from .experiments import SCALES, run_experiment
+from .experiments import SCALES, RunSpec, get_scale, run_spec
 from .experiments import paper as paper_experiments
+from .experiments.configs import CONFIG_OVERRIDE_KEYS
 from .fl.executor import available_executors
 from .fl.policies import available_policies
 from .methods import method_names, method_summaries
@@ -125,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--participation-fraction", type=float, default=None,
                      help="fraction of clients sampled each round")
     run.add_argument("--quantize-bits", type=int, default=None,
+                     dest="quantize_upload_bits",
                      help="quantize client uploads to this many bits")
     run.add_argument("--executor", default=None,
                      choices=available_executors(),
@@ -270,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="AXIS=V1,V2",
                        help="grid axis: a core field (method, model, "
                             "dataset, density, scale, alpha, seed, "
-                            "pool_size) or any FLConfig knob; "
+                            "pool_size) or a run knob (a key of "
+                            "CONFIG_OVERRIDE_KEYS, e.g. rounds, faults); "
                             "repeatable, cartesian product")
     sweep.add_argument("--method", default="fedtiny",
                        choices=method_names(),
@@ -407,47 +410,54 @@ def _command_list() -> int:
     return 0
 
 
+def _knob_flags(args: argparse.Namespace) -> dict:
+    """Every parsed flag that sets a run knob, keyed by its ``dest``."""
+    return {
+        key: value for key, value in vars(args).items()
+        if key in CONFIG_OVERRIDE_KEYS
+    }
+
+
+def _checked_spec(
+    args: argparse.Namespace,
+    overrides: dict,
+    dirichlet_alpha: float | None = 0.5,
+    pool_size: int | None = None,
+) -> RunSpec:
+    """The run's :class:`RunSpec`, once its ``FLConfig`` has built.
+
+    A bad knob raises ``ValueError`` here, before any data is generated.
+    """
+    spec = RunSpec(
+        method=args.method,
+        model=args.model,
+        dataset=args.dataset,
+        target_density=args.density,
+        scale=args.scale,
+        dirichlet_alpha=dirichlet_alpha,
+        seed=args.seed,
+        pool_size=pool_size,
+        overrides=tuple(overrides.items()),
+    )
+    spec.fl_config(get_scale(spec.scale))
+    return spec
+
+
 def _command_run(args: argparse.Namespace) -> int:
     alpha = None if args.alpha is not None and args.alpha <= 0 else args.alpha
+    try:
+        spec = _checked_spec(
+            args, _knob_flags(args), dirichlet_alpha=alpha,
+            pool_size=args.pool_size,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.density_threshold is not None:
         engine.configure(density_threshold=args.density_threshold)
         # Spawned executor workers read the knob from the environment.
         os.environ["REPRO_DENSITY_THRESHOLD"] = str(args.density_threshold)
-    result = run_experiment(
-        args.method,
-        args.model,
-        args.dataset,
-        args.density,
-        scale=args.scale,
-        dirichlet_alpha=alpha,
-        seed=args.seed,
-        pool_size=args.pool_size,
-        rounds=args.rounds,
-        local_epochs=args.local_epochs,
-        participation_fraction=args.participation_fraction,
-        quantize_bits=args.quantize_bits,
-        executor=args.executor,
-        fleet=args.fleet,
-        round_policy=args.round_policy,
-        deadline_fraction=args.deadline_fraction,
-        deadline_over_select=args.deadline_over_select,
-        dropout_rate=args.dropout_rate,
-        async_buffer_fraction=args.async_buffer_fraction,
-        staleness_discount=args.staleness_discount,
-        client_backend=args.client_backend,
-        virtual_shard_size=args.virtual_shard_size,
-        aggregation_fan_in=args.aggregation_fan_in,
-        faults=args.faults,
-        retry_max_attempts=args.retry_max_attempts,
-        retry_backoff_seconds=args.retry_backoff_seconds,
-        retry_timeout_seconds=args.retry_timeout_seconds,
-        transport_timeout=args.transport_timeout,
-        heartbeat_interval=args.heartbeat_interval,
-        max_reconnects=args.max_reconnects,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-    )
+    result = run_spec(spec)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, default=str))
         return 0
@@ -475,31 +485,19 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_chaos(args: argparse.Namespace) -> int:
     from .fl.faults import FaultSchedule
 
+    knobs = _knob_flags(args)
     try:
         schedule = FaultSchedule.parse(args.faults, seed=args.seed)
+        baseline_spec = _checked_spec(args, {**knobs, "faults": None})
+        faulted_spec = _checked_spec(args, knobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    common = dict(
-        scale=args.scale,
-        seed=args.seed,
-        rounds=args.rounds,
-        executor=args.executor,
-        retry_max_attempts=args.retry_max_attempts,
-        transport_timeout=args.transport_timeout,
-        heartbeat_interval=args.heartbeat_interval,
-        max_reconnects=args.max_reconnects,
-    )
     print(f"fault schedule    : {schedule.spec_string()}")
     print("running fault-free baseline ...")
-    baseline = run_experiment(
-        args.method, args.model, args.dataset, args.density, **common,
-    )
+    baseline = run_spec(baseline_spec)
     print("running faulted twin ...")
-    faulted = run_experiment(
-        args.method, args.model, args.dataset, args.density,
-        faults=args.faults, **common,
-    )
+    faulted = run_spec(faulted_spec)
 
     problems: list[str] = []
     if len(faulted.rounds) != len(baseline.rounds):

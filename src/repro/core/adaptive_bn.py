@@ -67,11 +67,9 @@ class AdaptiveBNSelection:
         self,
         use_bn_recalibration: bool = True,
         batch_size: int = 64,
-        fast_path: bool = True,
     ) -> None:
         self.use_bn_recalibration = use_bn_recalibration
         self.batch_size = batch_size
-        self.fast_path = fast_path
 
     def select(
         self, ctx: FederatedContext, candidates: list[Candidate]
@@ -79,11 +77,9 @@ class AdaptiveBNSelection:
         """Run the full device/server selection protocol."""
         if not candidates:
             raise ValueError("candidate pool is empty")
-        if self.fast_path:
-            from .selection_engine import run_fast_selection
+        from .selection_engine import run_fast_selection
 
-            return run_fast_selection(self, ctx, candidates)
-        return self.select_reference(ctx, candidates)
+        return run_fast_selection(self, ctx, candidates)
 
     def select_reference(
         self, ctx: FederatedContext, candidates: list[Candidate]

@@ -14,12 +14,30 @@ definitions at three scales:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any
 
 from ..fl.simulation import FLConfig
 from ..pruning.schedule import PruningSchedule
 
-__all__ = ["ScalePreset", "SCALES", "get_scale", "METHOD_NAMES"]
+__all__ = [
+    "CONFIG_OVERRIDE_KEYS", "ScalePreset", "SCALES", "get_scale",
+    "METHOD_NAMES",
+]
+
+#: The FLConfig knobs a run may set: ``RunSpec.overrides`` keys, sweep
+#: grid axes, and the ``dest`` of every ``repro run`` knob flag. The
+#: rest are the preset's (``num_clients``, ``batch_size``, ``lr``), the
+#: spec's own fields (``dirichlet_alpha``, ``seed``), or fixed for every
+#: run.
+CONFIG_OVERRIDE_KEYS: frozenset[str] = frozenset(
+    f.name for f in fields(FLConfig)
+) - {
+    "num_clients", "batch_size", "lr",
+    "dirichlet_alpha", "seed",
+    "momentum", "weight_decay", "dev_fraction", "eval_every", "augment",
+    "min_partition_samples", "retry_backoff_factor", "pool_failure_limit",
+}
 
 
 @dataclass(frozen=True)
@@ -48,106 +66,28 @@ class ScalePreset:
         self,
         dirichlet_alpha: float | None = 0.5,
         seed: int = 0,
-        rounds: int | None = None,
-        local_epochs: int | None = None,
-        participation_fraction: float | None = None,
-        quantize_upload_bits: int | None = None,
-        executor: str | None = None,
-        executor_workers: int | None = None,
-        fleet: str | None = None,
-        round_policy: str | None = None,
-        deadline_fraction: float | None = None,
-        deadline_over_select: float | None = None,
-        dropout_rate: float | None = None,
-        async_buffer_fraction: float | None = None,
-        staleness_discount: float | None = None,
-        client_backend: str | None = None,
-        virtual_shard_size: int | None = None,
-        aggregation_fan_in: int | None = None,
-        faults: str | None = None,
-        retry_max_attempts: int | None = None,
-        retry_backoff_seconds: float | None = None,
-        retry_timeout_seconds: float | None = None,
-        transport_timeout: float | None = None,
-        heartbeat_interval: float | None = None,
-        max_reconnects: int | None = None,
-        checkpoint_dir: str | None = None,
-        checkpoint_every: int | None = None,
-        resume: bool = False,
+        **overrides: Any,
     ) -> FLConfig:
-        return FLConfig(
-            num_clients=self.num_clients,
-            rounds=rounds if rounds is not None else self.rounds,
-            local_epochs=(
-                local_epochs if local_epochs is not None
-                else self.local_epochs
-            ),
-            batch_size=self.batch_size,
-            lr=self.lr,
-            dirichlet_alpha=dirichlet_alpha,
-            participation_fraction=(
-                participation_fraction
-                if participation_fraction is not None else 1.0
-            ),
-            quantize_upload_bits=quantize_upload_bits,
-            executor=executor if executor is not None else "serial",
-            executor_workers=executor_workers,
-            fleet=fleet if fleet is not None else "uniform",
-            round_policy=(
-                round_policy if round_policy is not None else "sync"
-            ),
-            deadline_fraction=(
-                deadline_fraction if deadline_fraction is not None else 1.5
-            ),
-            deadline_over_select=(
-                deadline_over_select
-                if deadline_over_select is not None else 1.5
-            ),
-            dropout_rate=dropout_rate if dropout_rate is not None else 0.1,
-            async_buffer_fraction=(
-                async_buffer_fraction
-                if async_buffer_fraction is not None else 0.5
-            ),
-            staleness_discount=(
-                staleness_discount
-                if staleness_discount is not None else 0.5
-            ),
-            client_backend=(
-                client_backend
-                if client_backend is not None else "materialized"
-            ),
-            virtual_shard_size=virtual_shard_size,
-            aggregation_fan_in=aggregation_fan_in,
-            faults=faults,
-            retry_max_attempts=(
-                retry_max_attempts if retry_max_attempts is not None else 3
-            ),
-            retry_backoff_seconds=(
-                retry_backoff_seconds
-                if retry_backoff_seconds is not None else 0.5
-            ),
-            retry_timeout_seconds=(
-                retry_timeout_seconds
-                if retry_timeout_seconds is not None else 5.0
-            ),
-            transport_timeout=(
-                transport_timeout
-                if transport_timeout is not None else 30.0
-            ),
-            heartbeat_interval=(
-                heartbeat_interval
-                if heartbeat_interval is not None else 1.0
-            ),
-            max_reconnects=(
-                max_reconnects if max_reconnects is not None else 3
-            ),
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=(
-                checkpoint_every if checkpoint_every is not None else 1
-            ),
-            resume=resume,
-            seed=seed,
-        )
+        """The preset's FLConfig with a run's knobs applied.
+
+        Every key of ``overrides`` must be in :data:`CONFIG_OVERRIDE_KEYS`;
+        a ``None`` value keeps the preset's (or FLConfig's) default.
+        """
+        for key in overrides:
+            if key not in CONFIG_OVERRIDE_KEYS:
+                raise TypeError(
+                    f"fl_config() got an unexpected keyword argument {key!r}"
+                )
+        return FLConfig(**{
+            "num_clients": self.num_clients,
+            "rounds": self.rounds,
+            "local_epochs": self.local_epochs,
+            "batch_size": self.batch_size,
+            "lr": self.lr,
+            **{k: v for k, v in overrides.items() if v is not None},
+            "dirichlet_alpha": dirichlet_alpha,
+            "seed": seed,
+        })
 
     def schedule(
         self, granularity: str = "block", backward_order: bool = True,

@@ -60,7 +60,6 @@ def make_context(
     scale: ScalePreset,
     dirichlet_alpha: float | None = 0.5,
     seed: int = 0,
-    rounds: int | None = None,
     splits: Splits | None = None,
     config: FLConfig | None = None,
     **config_overrides: Any,
@@ -70,8 +69,9 @@ def make_context(
     ``splits`` lets callers reuse an already-built
     :func:`prepare_data` result instead of regenerating the dataset.
     ``config`` short-circuits config construction entirely (the spec
-    runner passes the one it already built); otherwise any keyword of
-    :meth:`ScalePreset.fl_config` is accepted as an override.
+    runner passes the one it already built); otherwise any key of
+    :data:`~repro.experiments.configs.CONFIG_OVERRIDE_KEYS`
+    (``rounds``, ``executor``, ...) is accepted as an override.
     """
     if splits is None:
         splits = prepare_data(dataset_name, scale, seed)
@@ -84,14 +84,10 @@ def make_context(
         seed=seed + 1,
     )
     if config is None:
-        if rounds is not None:
-            config_overrides["rounds"] = rounds
         config = scale.fl_config(
-            dirichlet_alpha=dirichlet_alpha,
-            seed=seed,
-            **normalize_overrides(config_overrides),
+            dirichlet_alpha, seed, **normalize_overrides(config_overrides)
         )
-    elif config_overrides or rounds is not None:
+    elif config_overrides:
         raise ValueError(
             "make_context takes either a prebuilt config or overrides, "
             "not both"
@@ -160,10 +156,9 @@ def run_experiment(
 ) -> RunResult:
     """End-to-end: build data, context and method, then run it.
 
-    Any keyword of :meth:`ScalePreset.fl_config` (``rounds``,
-    ``executor``, ``faults``, ``checkpoint_dir``, ...) is accepted and
-    folded into the run's :class:`RunSpec`, so this remains a drop-in
-    superset of the old 25-keyword signature.
+    Any key of :data:`~repro.experiments.configs.CONFIG_OVERRIDE_KEYS`
+    (``rounds``, ``executor``, ``faults``, ``checkpoint_dir``, ...) is
+    accepted as a keyword and folded into the run's :class:`RunSpec`.
     """
     preset = get_scale(scale) if isinstance(scale, str) else scale
     spec = RunSpec(

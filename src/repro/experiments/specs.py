@@ -2,12 +2,13 @@
 
 A :class:`RunSpec` pins one experiment completely: the method, model,
 dataset, target density, scale preset, seed, Dirichlet alpha, pool
-size, and any :class:`~repro.fl.simulation.FLConfig` knob as a
+size, and any run knob in
+:data:`~repro.experiments.configs.CONFIG_OVERRIDE_KEYS` as an
 ``overrides`` mapping. It is the single place the experiment layer
 translates keyword arguments into an ``FLConfig`` — the runner builds
-every context through :meth:`RunSpec.fl_config`, so a new config knob
-added to :meth:`repro.experiments.configs.ScalePreset.fl_config` is
-immediately sweepable and cannot drift between call sites.
+every context through :meth:`RunSpec.fl_config`, so a new field added
+to :class:`~repro.fl.simulation.FLConfig` is immediately sweepable and
+cannot drift between call sites.
 
 Specs are JSON-round-trippable and carry a stable content fingerprint
 (:meth:`RunSpec.fingerprint`): the sweep journal uses it to re-verify
@@ -24,13 +25,12 @@ value list) into the deterministic list of specs a sweep executes.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .configs import ScalePreset
+from .configs import CONFIG_OVERRIDE_KEYS, ScalePreset
 
 __all__ = [
     "CONFIG_OVERRIDE_KEYS",
@@ -63,23 +63,6 @@ _CORE_AXES = {
 _EXECUTION_ONLY_KEYS = frozenset(
     {"checkpoint_dir", "checkpoint_every", "resume"}
 )
-
-
-def _config_override_keys() -> frozenset[str]:
-    """Valid ``overrides`` keys, derived from the fl_config signature.
-
-    ``dirichlet_alpha`` and ``seed`` are first-class RunSpec fields, so
-    they are not overridable; everything else ScalePreset.fl_config
-    accepts is.
-    """
-    params = inspect.signature(ScalePreset.fl_config).parameters
-    return frozenset(params) - {"self", "dirichlet_alpha", "seed"}
-
-
-#: The valid keys for :attr:`RunSpec.overrides` (plus the aliases in
-#: ``_OVERRIDE_ALIASES``), kept in lockstep with ``ScalePreset.fl_config``
-#: by deriving them from its signature at import time.
-CONFIG_OVERRIDE_KEYS: frozenset[str] = _config_override_keys()
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
@@ -116,11 +99,10 @@ def normalize_overrides(overrides: Mapping[str, Any]) -> dict[str, Any]:
 class RunSpec:
     """Everything that identifies one experiment run.
 
-    ``overrides`` maps FLConfig knob names (any keyword of
-    ``ScalePreset.fl_config`` except ``dirichlet_alpha``/``seed``) to
-    JSON-scalar values; it is canonicalized (aliases resolved, ``None``
-    dropped, keys sorted) so equal configurations always produce equal
-    fingerprints.
+    ``overrides`` maps FLConfig knob names (any key of
+    :data:`CONFIG_OVERRIDE_KEYS`) to JSON-scalar values; it is
+    canonicalized (aliases resolved, ``None`` dropped, keys sorted) so
+    equal configurations always produce equal fingerprints.
     """
 
     method: str
@@ -156,16 +138,10 @@ class RunSpec:
 
         ``extra`` lets the orchestration layer thread execution-only
         knobs (per-run checkpoint dirs, resume flags) without widening
-        the spec's identity.
+        the spec's identity; it is merged over :attr:`overrides`.
         """
-        kwargs = self.overrides_dict
-        for key, value in extra.items():
-            if key not in CONFIG_OVERRIDE_KEYS:
-                raise ValueError(f"unknown config override {key!r}")
-            if value is not None:
-                kwargs[key] = value
         return preset.fl_config(
-            dirichlet_alpha=self.dirichlet_alpha, seed=self.seed, **kwargs
+            self.dirichlet_alpha, self.seed, **{**self.overrides_dict, **extra}
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -250,11 +226,12 @@ def expand_grid(
 
     ``axes`` maps axis names to value lists; axis names are either
     core spec fields (``method``/``model``/``dataset``/``density``/
-    ``scale``/``alpha``/``seed``/``pool_size``) or any FLConfig
-    override key. ``base`` supplies values for core fields that are
-    not gridded. Expansion order is the cartesian product with the
-    *last* axis varying fastest — a pure function of the mapping's
-    insertion order, so the same grid always enumerates the same queue.
+    ``scale``/``alpha``/``seed``/``pool_size``) or any key of
+    :data:`CONFIG_OVERRIDE_KEYS`. ``base`` supplies values for core
+    fields that are not gridded. Expansion order is the cartesian
+    product with the *last* axis varying fastest — a pure function of
+    the mapping's insertion order, so the same grid always enumerates
+    the same queue.
     """
     for name, values in axes.items():
         if not values:

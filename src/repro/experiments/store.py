@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 from ..fl.faults import FailureRecord
@@ -47,24 +48,7 @@ def atomic_write_json(path: str | Path, payload: dict) -> None:
 def result_to_record(result: RunResult) -> dict:
     """Full JSON-safe dict including the per-round trajectory."""
     record = result.to_dict()
-    record["rounds"] = [
-        {
-            "round_index": r.round_index,
-            "test_accuracy": r.test_accuracy,
-            "test_loss": r.test_loss,
-            "density": r.density,
-            "upload_bytes": r.upload_bytes,
-            "download_bytes": r.download_bytes,
-            "train_flops": r.train_flops,
-            "sim_time_seconds": r.sim_time_seconds,
-            "dropped_clients": r.dropped_clients,
-            "faults_injected": r.faults_injected,
-            "retries": r.retries,
-            "quarantined_uploads": r.quarantined_uploads,
-            "recovery_actions": r.recovery_actions,
-        }
-        for r in result.rounds
-    ]
+    record["rounds"] = [asdict(r) for r in result.rounds]
     return record
 
 
@@ -72,8 +56,8 @@ def record_to_result(record: dict) -> RunResult:
     """Rebuild a :class:`RunResult` from :func:`result_to_record` output.
 
     Lenient on fields newer than the record (v1 files carry no failure
-    accounting): missing counters default to zero and the failure log
-    to empty, so old stores keep loading.
+    accounting): missing counters take the dataclass defaults (zero)
+    and the failure log defaults to empty, so old stores keep loading.
     """
     result = RunResult(
         method=record["method"],
@@ -82,37 +66,13 @@ def record_to_result(record: dict) -> RunResult:
         target_density=record["target_density"],
     )
     for row in record.get("rounds", []):
-        result.record_round(
-            RoundRecord(
-                round_index=row["round_index"],
-                test_accuracy=row["test_accuracy"],
-                test_loss=row["test_loss"],
-                density=row["density"],
-                upload_bytes=row["upload_bytes"],
-                download_bytes=row["download_bytes"],
-                train_flops=row["train_flops"],
-                sim_time_seconds=row.get("sim_time_seconds", 0.0),
-                dropped_clients=row.get("dropped_clients", 0),
-                faults_injected=row.get("faults_injected", 0),
-                retries=row.get("retries", 0),
-                quarantined_uploads=row.get("quarantined_uploads", 0),
-                recovery_actions=row.get("recovery_actions", 0),
-            )
-        )
+        result.record_round(RoundRecord(**row))
     result.memory_footprint_bytes = record.get("memory_footprint_bytes", 0)
     result.selection_comm_bytes = record.get("selection_comm_bytes", 0)
     result.selection_flops = record.get("selection_flops", 0.0)
     result.metadata = dict(record.get("metadata", {}))
     result.failures = [
-        FailureRecord(
-            round_index=row["round_index"],
-            client_id=row["client_id"],
-            attempt=row["attempt"],
-            kind=row["kind"],
-            action=row["action"],
-            detail=row.get("detail", ""),
-        )
-        for row in record.get("failures", [])
+        FailureRecord(**row) for row in record.get("failures", [])
     ]
     return result
 

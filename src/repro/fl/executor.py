@@ -801,10 +801,10 @@ class ProcessPoolClientExecutor(ClientExecutor):
         return [future.result() for future in futures]
 
     def crash_worker(self, ctx: "FederatedContext") -> bool:
-        """Kill one pool worker; respawn the (now broken) pool.
+        """Kill one pool worker; tear down the (now broken) pool.
 
         ``concurrent.futures`` condemns the whole pool when any worker
-        dies, so the repair is a full teardown — the next round's
+        dies, so the repair is a full :meth:`close` — the next round's
         ``_ensure_pool`` rebuilds workers and arena lazily. Worker
         outputs are unaffected: clients, model structure, and RNG
         streams all re-ship from the master, so results after a respawn
@@ -820,13 +820,9 @@ class ProcessPoolClientExecutor(ClientExecutor):
             _LOG.warning(
                 "worker process died; respawning the process pool"
             )
-            self.respawn()
+            self.close()
             return True
         return False  # pragma: no cover - os._exit always breaks the pool
-
-    def respawn(self) -> None:
-        """Tear down a (possibly broken) pool; rebuilt on next use."""
-        self.close()
 
     def close(self) -> None:
         if self._pool is not None:
@@ -1153,10 +1149,6 @@ class NetworkClientExecutor(ClientExecutor):
         del ctx
         self._server.restart()
         return True
-
-    def respawn(self) -> None:
-        """Tear everything down; rebuilt lazily on next use."""
-        self.close()
 
     def close(self) -> None:
         if self._server is None:

@@ -106,21 +106,23 @@ class FLConfig:
     # schedule spec ("kind:prob,..." or a preset name); None disables
     # injection entirely and the round loop stays byte-identical to the
     # fault-free golden run. The retry knobs parameterize the
-    # RetryPolicy that defends against whatever the schedule throws.
+    # RetryPolicy that defends against whatever the schedule throws;
+    # their defaults and validation are RetryPolicy's own.
     faults: str | None = None
-    retry_max_attempts: int = 3
-    retry_backoff_seconds: float = 0.5
-    retry_backoff_factor: float = 2.0
-    retry_timeout_seconds: float = 5.0
-    pool_failure_limit: int = 2
+    retry_max_attempts: int = RetryPolicy.max_attempts
+    retry_backoff_seconds: float = RetryPolicy.backoff_seconds
+    retry_backoff_factor: float = RetryPolicy.backoff_factor
+    retry_timeout_seconds: float = RetryPolicy.timeout_seconds
+    pool_failure_limit: int = RetryPolicy.pool_failure_limit
     # Networked-transport knobs (see repro.fl.transport): the socket
     # read/write timeout (doubling as the server's in-flight task
     # deadline), the worker heartbeat cadence, and the reconnect /
     # task-reassignment budget. Only the "network" executor reads them;
-    # they are validated for every config so a bad flag fails fast.
-    transport_timeout: float = 30.0
-    heartbeat_interval: float = 1.0
-    max_reconnects: int = 3
+    # their defaults and validation are TransportConfig's own, checked
+    # for every config so a bad flag fails fast.
+    transport_timeout: float = TransportConfig.timeout
+    heartbeat_interval: float = TransportConfig.heartbeat_interval
+    max_reconnects: int = TransportConfig.max_reconnects
     # Crash-resume knobs: with checkpoint_dir set the method's round
     # loop snapshots the full run state every ``checkpoint_every``
     # rounds; ``resume=True`` restarts from the latest snapshot
@@ -139,6 +141,10 @@ class FLConfig:
             raise ValueError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.weight_decay < 0.0:
+            raise ValueError("weight_decay must be >= 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if not 0.0 < self.dev_fraction <= 1.0:

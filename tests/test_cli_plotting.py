@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.plotting import ascii_line_plot
+from repro.experiments.specs import CONFIG_OVERRIDE_KEYS
 
 
 class TestAsciiLinePlot:
@@ -65,6 +66,10 @@ class TestCLIParser:
         assert args.density == 0.01
         assert args.scale == "tiny"
 
+    def test_every_run_knob_is_a_run_flag_dest(self):
+        args = build_parser().parse_args(["run", "--method", "fedtiny"])
+        assert CONFIG_OVERRIDE_KEYS - {"executor_workers"} <= set(vars(args))
+
     def test_rejects_unknown_method(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--method", "magic"])
@@ -107,6 +112,24 @@ class TestCLICommands:
         record = json.loads(capsys.readouterr().out)
         assert record["method"] == "fl-pqsu"
         assert record["num_rounds"] == 1
+
+    def test_run_rejects_bad_knob_before_building_data(
+        self, capsys, monkeypatch
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data generated for an invalid config")
+
+        monkeypatch.setattr("repro.experiments.runner.prepare_data", no_data)
+        code = main(["run", "--method", "fedavg", "--scale", "tiny",
+                     "--quantize-bits", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: quantize_upload_bits must be in [2, 16]\n"
+
+    def test_chaos_rejects_bad_knob(self, capsys):
+        code = main(["chaos", "--scale", "tiny", "--retry-max-attempts", "0"])
+        assert code == 2
+        assert "max_attempts must be >= 1" in capsys.readouterr().err
 
     def test_run_iid_alpha(self, capsys):
         code = main(

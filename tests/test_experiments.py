@@ -14,6 +14,7 @@ from repro.experiments import (
     prepare_data,
     run_experiment,
 )
+from repro.experiments.specs import CONFIG_OVERRIDE_KEYS
 from repro.metrics import RoundRecord, RunResult
 
 
@@ -39,6 +40,24 @@ class TestScales:
     def test_fl_config_override_rounds(self):
         preset = get_scale("tiny")
         assert preset.fl_config(rounds=7).rounds == 7
+
+    def test_fl_config_rejects_fixed_knobs(self):
+        with pytest.raises(TypeError, match="momentum"):
+            get_scale("tiny").fl_config(momentum=0.5)
+
+    def test_config_override_keys(self):
+        assert CONFIG_OVERRIDE_KEYS == {
+            "aggregation_fan_in", "async_buffer_fraction",
+            "checkpoint_dir", "checkpoint_every", "client_backend",
+            "deadline_fraction", "deadline_over_select", "dropout_rate",
+            "executor", "executor_workers", "faults", "fleet",
+            "heartbeat_interval", "local_epochs", "max_reconnects",
+            "participation_fraction", "quantize_upload_bits", "resume",
+            "retry_backoff_seconds", "retry_max_attempts",
+            "retry_timeout_seconds", "round_policy", "rounds",
+            "staleness_discount", "transport_timeout",
+            "virtual_shard_size",
+        }
 
     def test_schedule_overrides(self):
         preset = get_scale("tiny")

@@ -5,6 +5,8 @@ import pytest
 
 from repro.data import Dataset, SyntheticSpec, generate
 from repro.fl import Client, CommTracker, FLConfig, FederatedContext, Server
+from repro.fl.faults import RetryPolicy
+from repro.fl.transport import TransportConfig
 from repro.nn.models import build_model
 from repro.pruning import magnitude_mask_uniform
 from repro.sparse import MaskSet, prunable_parameters
@@ -225,3 +227,12 @@ class TestFederatedContext:
             FLConfig(eval_every=0)
         with pytest.raises(ValueError, match="batch_size"):
             FLConfig(batch_size=0)
+        with pytest.raises(ValueError, match="momentum"):
+            FLConfig(momentum=1.0)
+        with pytest.raises(ValueError, match="weight_decay"):
+            FLConfig(weight_decay=-0.1)
+
+    def test_retry_and_transport_defaults_are_their_owners(self):
+        config = FLConfig()
+        assert config.retry_policy() == RetryPolicy()
+        assert config.transport_config() == TransportConfig()
